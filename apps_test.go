@@ -8,11 +8,7 @@ func builtResult(t testing.TB, n, k int, seed int64) (*Graph, *Result) {
 	t.Helper()
 	net := testNetwork(t, n, 7, seed)
 	g := net.Graph()
-	res, err := Build(g, Options{K: k, Algorithm: ACLMST})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, res
+	return g, mustBuild(t, g, WithK(k), WithAlgorithm(ACLMST))
 }
 
 func TestBroadcastPlanCoverage(t *testing.T) {

@@ -507,7 +507,7 @@ func BenchmarkPublicBuild(b *testing.B) {
 	g := net.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, Options{K: 2, Algorithm: ACLMST}); err != nil {
+		if _, err := buildOnce(g, WithK(2), WithAlgorithm(ACLMST)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,8 +553,8 @@ func BenchmarkBuildParallel(b *testing.B) {
 // BenchmarkEngineReuse quantifies the unified engine's buffer pooling:
 // the same N=150, k=2, AC-LMST build repeated through one reused Engine
 // (warm sync.Pool of per-build scratch) versus the per-call baseline
-// that stands up fresh state — a throwaway Engine and cold buffers, the
-// legacy Build wrapper's path — every iteration. Compare allocs/op.
+// that stands up fresh state — a throwaway Engine and cold buffers —
+// every iteration. Compare allocs/op.
 func BenchmarkEngineReuse(b *testing.B) {
 	net, err := RandomNetwork(NetworkConfig{N: 150, AvgDegree: 6, Seed: 5})
 	if err != nil {
@@ -582,23 +582,20 @@ func BenchmarkEngineReuse(b *testing.B) {
 	b.Run("fresh-per-call", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Build(g, Options{K: 2, Algorithm: ACLMST}); err != nil {
+			if _, err := buildOnce(g, WithK(2), WithAlgorithm(ACLMST)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkBuildBatched isolates the CSR + multi-source batched BFS
-// fast path against the scalar per-source baseline it replaced, at the
-// same grid-indexed production-scale workload BenchmarkBuildParallel
-// uses, both serial (workers=1) so the delta is batching alone. Both
-// gateway algorithms are measured: AC-LMST builds spend their BFS
-// budget on the radius-bounded cluster/NC walks, where batching is
-// capped near parity by the level-overlap ratio, while G-MST adds the
-// unbounded head-to-head distance pass that batching cuts by well over
-// 2× (see internal/gateway's BenchmarkGMSTHeadDists). The scale figure
-// (`khopsim -fig scale`) reports the same comparison up the full
+// BenchmarkBuildBatched measures serial builds on the CSR + multi-source
+// batched BFS path at the same grid-indexed production-scale workload
+// BenchmarkBuildParallel uses. Both gateway algorithms are measured:
+// AC-LMST builds spend their BFS budget on the radius-bounded
+// cluster/NC walks, while G-MST adds the unbounded head-to-head distance
+// pass (see internal/gateway's BenchmarkGMSTHeadDists). The scale figure
+// (`khopsim -fig scale`) reports serial and parallel builds up the full
 // ladder to a million nodes.
 func BenchmarkBuildBatched(b *testing.B) {
 	ctx := context.Background()
@@ -609,27 +606,21 @@ func BenchmarkBuildBatched(b *testing.B) {
 		}
 		g := net.Graph()
 		for _, alg := range []Algorithm{ACLMST, GMST} {
-			for _, batched := range []bool{false, true} {
-				name := "scalar"
-				if batched {
-					name = "batched"
+			b.Run(fmt.Sprintf("N=%dk/%s", n/1000, alg), func(b *testing.B) {
+				e, err := NewEngine(g, WithK(2), WithAlgorithm(alg))
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.Run(fmt.Sprintf("N=%dk/%s/%s", n/1000, alg, name), func(b *testing.B) {
-					e, err := NewEngine(g, WithK(2), WithAlgorithm(alg), WithBatchedBFS(batched))
-					if err != nil {
+				if _, err := e.Build(ctx); err != nil { // warm the scratch pools
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.Build(ctx); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := e.Build(ctx); err != nil { // warm the scratch pools
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := e.Build(ctx); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -78,10 +78,6 @@
 // over HTTP (build, churn, route, broadcast, snapshot) and persists
 // them across restarts; cmd/khopsim -snapshot emits the same format.
 //
-// The previous entry points — Build, BuildDistributed, BuildMaxMin, and
-// NewMaintainer — remain as deprecated wrappers over the Engine and
-// produce identical results.
-//
 // The runnable Example functions in this package's test files show
 // tested usage of Engine.Build, Engine.Apply, VerifyResult, and
 // NewRouter; ARCHITECTURE.md (repository root) maps the paper's

@@ -63,7 +63,6 @@ type engineConfig struct {
 	seed        int64
 	loss        float64
 	parallel    int
-	scalarBFS   bool
 }
 
 func defaultConfig() engineConfig {
@@ -124,18 +123,6 @@ func WithSeed(seed int64) Option { return func(c *engineConfig) { c.seed = seed 
 // goroutine per node; n applies to the centralized gateway-path
 // materialization pass.
 func WithParallel(n int) Option { return func(c *engineConfig) { c.parallel = n } }
-
-// WithBatchedBFS toggles the CSR + multi-source batched BFS fast path
-// (default true). A build snapshots the graph into a flat CSR adjacency
-// once and runs the per-head and per-pair traversal fan-outs — election
-// offer walks, neighbor clusterhead selection, gateway distance and
-// path passes, Max-Min floods — as word-parallel multi-source sweeps, 64
-// sources per frontier pass. The Result is bitwise identical with the
-// path on or off (the differential tests pin this); disabling it exists
-// for those tests and for benchmarking the scalar baseline.
-func WithBatchedBFS(enabled bool) Option {
-	return func(c *engineConfig) { c.scalarBFS = !enabled }
-}
 
 // WithLoss injects per-delivery message loss with the given probability
 // into Distributed builds (default 0, the paper's ideal MAC). With loss
@@ -283,7 +270,6 @@ func (e *Engine) Build(ctx context.Context, overrides ...Option) (*Result, error
 			Affiliation: cfg.affiliation,
 			Scratch:     s,
 			Pool:        pool,
-			ScalarBFS:   cfg.scalarBFS,
 		})
 	case Distributed:
 		out, cost, err = e.buildDistributed(ctx, cfg, s, pool)
@@ -294,7 +280,7 @@ func (e *Engine) Build(ctx context.Context, overrides ...Option) (*Result, error
 		return nil, err
 	}
 
-	res := assemble(out.Clustering, out.Selection, out.Gateway, Options{K: cfg.k, Algorithm: cfg.algorithm})
+	res := assemble(out.Clustering, out.Selection, out.Gateway, cfg.k, cfg.algorithm)
 	res.IndependentHeads = cfg.mode != MaxMin
 	res.Cost = cost
 
@@ -340,11 +326,7 @@ func (e *Engine) buildDistributed(ctx context.Context, cfg engineConfig, s *core
 		CDS:       pres.CDS,
 	}
 	if cfg.loss == 0 {
-		var fg *graph.FlatGraph
-		if !cfg.scalarBFS {
-			fg = graph.Flatten(e.g.g)
-		}
-		central, err := gateway.RunSelectedPar(ctx, e.g.g, fg, pres.Clustering, pres.Selection, cfg.algorithm, s.BFS(), pool)
+		central, err := gateway.RunSelectedPar(ctx, e.g.g, nil, pres.Clustering, pres.Selection, cfg.algorithm, s.BFS(), pool)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -369,10 +351,7 @@ func (e *Engine) buildDistributed(ctx context.Context, cfg engineConfig, s *core
 }
 
 func (e *Engine) buildMaxMin(ctx context.Context, cfg engineConfig, s *core.Scratch, pool *partition.Pool) (*core.Output, error) {
-	var fg *graph.FlatGraph
-	if !cfg.scalarBFS {
-		fg = graph.Flatten(e.g.g)
-	}
+	fg := graph.Flatten(e.g.g)
 	c, err := maxmin.RunPar(ctx, e.g.g, fg, cfg.k, s.BFS(), pool)
 	if err != nil {
 		return nil, err
@@ -599,8 +578,7 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 	}
 	reports, firstErr := e.maint.ApplyBatch(ctx, batch)
 	// Refresh even when the batch stopped early, so Result never goes
-	// stale behind repairs that did apply; the refresh itself runs under
-	// a background context for the same reason.
+	// stale behind repairs that did apply.
 	if len(reports) > 0 {
 		// Independence is forfeited only by events that actually added
 		// radio links; a zero-neighbor Join or Move (radio silence)
@@ -611,9 +589,7 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 				edgesAdded = true
 			}
 		}
-		if err := e.refreshFromMaintainer(context.Background(), edgesAdded); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		e.refreshFromMaintainer(edgesAdded)
 	}
 	return reports, firstErr
 }
@@ -622,25 +598,16 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 // maintainer's repaired internal structures. Callers hold e.mu;
 // edgesAdded reports whether the batch added radio links (Join/Move),
 // which forfeits the k-hop-independence guarantee.
-func (e *Engine) refreshFromMaintainer(ctx context.Context, edgesAdded bool) error {
-	// The maintainer replaces Res exactly when a repair re-ran gateway
-	// selection; while it is untouched (member events, which §3.3 keeps
-	// free) the previous neighbor selection still describes the
-	// structure, so skip the whole-graph recompute.
+func (e *Engine) refreshFromMaintainer(edgesAdded bool) {
+	// The maintainer replaces Res (and Sel with it) exactly when a repair
+	// re-ran gateway selection; while Res is untouched (member events,
+	// which §3.3 keeps free) the previous neighbor selection still
+	// describes the structure.
 	if e.maint.Res != e.curGres {
-		sel := e.maint.Sel
-		if sel == nil {
-			var err error
-			sel, err = core.SelectionForCtx(ctx, e.maint.G, e.maint.C, e.built.cfg.algorithm, nil)
-			if err != nil {
-				return err
-			}
-		}
-		e.curSel = sel
+		e.curSel = e.maint.Sel
 		e.curGres = e.maint.Res
 	}
-	res := assemble(e.maint.C, e.curSel, e.maint.Res, Options{K: e.built.cfg.k, Algorithm: e.built.cfg.algorithm})
+	res := assemble(e.maint.C, e.curSel, e.maint.Res, e.built.cfg.k, e.built.cfg.algorithm)
 	res.IndependentHeads = (e.cur == nil || e.cur.IndependentHeads) && !edgesAdded
 	e.cur = res
-	return nil
 }

@@ -8,12 +8,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gateway"
+	"repro/internal/maxmin"
 	"repro/internal/mobility"
 )
 
 // sameStructure fails the test when two results differ in any structural
-// field (gateway paths excluded: legacy distributed results never had
-// them, engine results always do).
+// field (gateway paths excluded: only the engine materializes them for
+// distributed builds).
 func sameStructure(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Heads, want.Heads) ||
@@ -22,14 +25,46 @@ func sameStructure(t *testing.T, label string, got, want *Result) {
 		!reflect.DeepEqual(got.Gateways, want.Gateways) ||
 		!reflect.DeepEqual(got.CDS, want.CDS) ||
 		got.IndependentHeads != want.IndependentHeads {
-		t.Fatalf("%s: engine result differs from legacy result", label)
+		t.Fatalf("%s: engine result differs from the pipeline's", label)
 	}
 }
 
-// TestEngineMatchesLegacy is the equivalence table of the acceptance
+// pipelineResult runs the internal stages directly — election (lowest
+// ID, or Max-Min for MaxMin), neighbor selection, gateway selection —
+// with no Engine in between, as the reference an engine build must
+// match. Distributed builds are compared against the centralized
+// stages: under the ideal MAC the protocol elects and marks exactly
+// what they compute.
+func pipelineResult(t *testing.T, g *Graph, mode Mode, algo Algorithm, k int) *Result {
+	t.Helper()
+	ctx := context.Background()
+	var out *core.Output
+	if mode == MaxMin {
+		c := maxmin.Run(g.g, k)
+		sel, err := core.SelectionForPar(ctx, g.g, nil, c, algo, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gres, err := gateway.RunSelectedPar(ctx, g.g, nil, c, sel, algo, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = &core.Output{Clustering: c, Selection: sel, Gateway: gres}
+	} else {
+		var err error
+		if out, err = core.BuildCtx(ctx, g.g, core.Options{K: k, Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := assemble(out.Clustering, out.Selection, out.Gateway, k, algo)
+	res.IndependentHeads = mode != MaxMin
+	return res
+}
+
+// TestEngineMatchesPipeline is the equivalence table of the acceptance
 // criteria: all 5 algorithms × K ∈ {1,2,3} × all three modes through
-// Engine.Build match the legacy entry points and pass Verify.
-func TestEngineMatchesLegacy(t *testing.T) {
+// Engine.Build match the internal stages run directly and pass Verify.
+func TestEngineMatchesPipeline(t *testing.T) {
 	net := testNetwork(t, 60, 6, 71)
 	g := net.Graph()
 	ctx := context.Background()
@@ -57,25 +92,13 @@ func TestEngineMatchesLegacy(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 
-				var want *Result
-				switch mode {
-				case Centralized:
-					want, err = Build(g, Options{K: k, Algorithm: algo})
-				case Distributed:
-					var cost *Cost
-					want, cost, err = BuildDistributed(g, Options{K: k, Algorithm: algo})
-					if err == nil {
-						if got.Cost == nil || got.Cost.Transmissions != cost.Transmissions {
-							t.Fatalf("%s: engine cost %+v differs from legacy %+v", label, got.Cost, cost)
-						}
-					}
-				case MaxMin:
-					want, err = BuildMaxMin(g, k, algo)
+				if (mode == Distributed) != (got.Cost != nil) {
+					t.Fatalf("%s: protocol cost %+v on a %v build", label, got.Cost, mode)
 				}
-				if err != nil {
-					t.Fatalf("%s: legacy build: %v", label, err)
+				if got.Cost != nil && got.Cost.Transmissions <= 0 {
+					t.Fatalf("%s: distributed build reports no transmissions: %+v", label, got.Cost)
 				}
-				sameStructure(t, label, got, want)
+				sameStructure(t, label, got, pipelineResult(t, g, mode, algo, k))
 				if len(got.GatewayPaths) == 0 && len(got.Heads) > 1 {
 					t.Fatalf("%s: engine result is not self-contained (no gateway paths)", label)
 				}
@@ -281,10 +304,7 @@ func TestEngineDistributedSelfContained(t *testing.T) {
 func TestResultWithoutGatewayPathsErrors(t *testing.T) {
 	net := testNetwork(t, 80, 6, 101)
 	g := net.Graph()
-	res, err := Build(g, Options{K: 2, Algorithm: ACLMST})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST))
 	stripped := *res
 	stripped.GatewayPaths = nil
 	if _, err := NewRouter(g, &stripped); !errors.Is(err, ErrNoGatewayPaths) {

@@ -95,12 +95,11 @@ type Options struct {
 	// run. Priority.Rank must be safe for concurrent use (the built-in
 	// priorities are).
 	Pool *partition.Pool
-	// Flat, when non-nil, must be the CSR snapshot of g; the per-head
-	// offer walks of each affiliation phase then run as multi-source
-	// batched BFS (64 declared heads per frontier sweep). The offer
-	// multiset is identical to the scalar walks' and joinAll's total
-	// (node, head) sort erases collection order, so the clustering is
-	// bitwise identical either way.
+	// Flat is the CSR snapshot of g the per-head offer walks of each
+	// affiliation phase run on, as multi-source batched BFS (64 declared
+	// heads per frontier sweep). Nil means RunCtx flattens g itself;
+	// callers that run several stages on one graph pass a shared
+	// snapshot instead.
 	Flat *graph.FlatGraph
 }
 
@@ -155,6 +154,9 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 	prio := opt.Priority
 	if prio == nil {
 		prio = LowestID{}
+	}
+	if opt.Flat == nil {
+		opt.Flat = graph.Flatten(g)
 	}
 	n := g.N()
 	const undecided = -1
@@ -218,20 +220,11 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 		// identical however it is collected, and joinAll's total sort on
 		// the unique (node, head) keys erases the collection order.
 		if opt.Pool.Workers() > 1 {
-			if err := offerRoundParallel(ctx, g, opt, s, declared, head); err != nil {
+			if err := offerRoundParallel(ctx, opt, s, declared, head); err != nil {
 				return nil, err
 			}
-		} else if opt.Flat != nil {
-			if err := offerBlocks(ctx, opt.Flat, s.BFS, head, declared, opt.K, &s.offers); err != nil {
-				return nil, err
-			}
-		} else {
-			for _, h := range declared {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				collectOffers(g, s.BFS, head, h, opt.K, &s.offers)
-			}
+		} else if err := offerBlocks(ctx, opt.Flat, s.BFS, head, declared, opt.K, &s.offers); err != nil {
+			return nil, err
 		}
 		joinAll(s, head, distToHead, opt.Affiliation, &remaining)
 	}
@@ -273,30 +266,17 @@ func declares(g *graph.Graph, bs *graph.Scratch, prio Priority, head []int, u, k
 	return wins
 }
 
-// collectOffers appends to out the offers head h extends this round:
-// one per still-undecided node within k hops.
-func collectOffers(g *graph.Graph, bs *graph.Scratch, head []int, h, k int, out *[]offer) {
-	const undecided = -1
-	g.EachWithin(bs, h, k, func(v, d int) bool {
-		if v != h && head[v] == undecided {
-			*out = append(*out, offer{node: v, head: h, dist: d})
-		}
-		return true
-	})
-}
-
-// offerBlocks is collectOffers over a list of declared heads at once:
-// one multi-source BFS sweep per 64-head block instead of one ball walk
-// per head, checking ctx between sweeps. Every declared head is already
-// marked in head (heads join themselves before the walks), so the
-// undecided filter below excludes the same vertices the scalar walk's
-// v != h && head[v] == undecided test does. The blocks are cut from the
-// declared list in graph-locality order so each sweep's heads share
-// their frontiers — the cheap rank blocking, since these sweeps stop at
-// radius ≤ k and a ball-growing ordering walk would cost more than it
-// saves, every round; the offers arrive in a different order than the
-// scalar walks produce them, but the multiset is identical and joinAll
-// sorts before consuming.
+// offerBlocks appends to out the offers the declared heads extend this
+// round: one per (still-undecided node, head) pair within k hops. It runs
+// one multi-source BFS sweep per 64-head block, checking ctx between
+// sweeps. Every declared head is already marked in head (heads join
+// themselves before the walks), so the undecided filter skips the heads
+// themselves. The blocks are cut from the declared list in
+// graph-locality order so each sweep's heads share their frontiers — the
+// cheap rank blocking, since these sweeps stop at radius ≤ k and a
+// ball-growing ordering walk would cost more than it saves, every round.
+// The offers arrive in block order, not head order; joinAll sorts before
+// consuming, so only the multiset matters.
 func offerBlocks(ctx context.Context, fg *graph.FlatGraph, bs *graph.Scratch, head, declared []int, k int, out *[]offer) error {
 	const undecided = -1
 	if bs == nil {
@@ -369,7 +349,7 @@ func declareRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *S
 
 // offerRoundParallel collects the round's offers sharded over the
 // declared heads, concatenating the per-shard lists into s.offers.
-func offerRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *Scratch, declared, head []int) error {
+func offerRoundParallel(ctx context.Context, opt Options, s *Scratch, declared, head []int) error {
 	w := opt.Pool.Workers()
 	for len(s.parOffers) < w {
 		s.parOffers = append(s.parOffers, nil)
@@ -382,17 +362,8 @@ func offerRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *Scr
 	}
 	err := opt.Pool.Shard(ctx, len(declared), func(shard int, bs *graph.Scratch, r partition.Range) error {
 		out := offs[shard][:0]
-		if opt.Flat != nil {
-			if err := offerBlocks(ctx, opt.Flat, bs, head, declared[r.Start:r.End], opt.K, &out); err != nil {
-				return err
-			}
-		} else {
-			for _, h := range declared[r.Start:r.End] {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				collectOffers(g, bs, head, h, opt.K, &out)
-			}
+		if err := offerBlocks(ctx, opt.Flat, bs, head, declared[r.Start:r.End], opt.K, &out); err != nil {
+			return err
 		}
 		offs[shard] = out
 		return nil

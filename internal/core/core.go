@@ -34,12 +34,6 @@ type Options struct {
 	// identical to a serial build. Obtain one from Scratch.Par so the
 	// per-worker buffers pool with the rest of the build's memory.
 	Pool *partition.Pool
-	// ScalarBFS disables the CSR + multi-source batched BFS fast path
-	// and runs every traversal as a scalar per-source walk, exactly as
-	// the pipeline did before batching existed. The output is bitwise
-	// identical either way (the differential tests pin this); the flag
-	// exists for those tests and for apples-to-apples benchmarking.
-	ScalarBFS bool
 }
 
 // Scratch bundles the per-build working memory of the whole pipeline:
@@ -86,11 +80,6 @@ type Output struct {
 	Gateway    *gateway.Result
 }
 
-// Build runs clustering, neighbor selection, and gateway selection on g.
-func Build(g *graph.Graph, opt Options) (*Output, error) {
-	return BuildCtx(context.Background(), g, opt)
-}
-
 // BuildCtx runs clustering, neighbor selection, and gateway selection on
 // g, honoring ctx cancellation inside every stage's hot loop.
 func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error) {
@@ -104,10 +93,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error)
 	// One CSR snapshot per build feeds every stage's batched traversals;
 	// flattening is a single O(V+E) pass, far below the cost of the walks
 	// it accelerates.
-	var fg *graph.FlatGraph
-	if !opt.ScalarBFS {
-		fg = graph.Flatten(g)
-	}
+	fg := graph.Flatten(g)
 	c, err := cluster.RunCtx(ctx, g, cluster.Options{
 		K:           opt.K,
 		Priority:    opt.Priority,
@@ -129,23 +115,12 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error)
 	return &Output{Clustering: c, Selection: sel, Gateway: res}, nil
 }
 
-// SelectionFor returns the neighbor clusterhead selection the given
+// SelectionForPar returns the neighbor clusterhead selection the given
 // algorithm uses. G-MST connects all head pairs centrally; its reported
-// selection is the NC view for inspection purposes.
-func SelectionFor(g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *ncr.Selection {
-	sel, _ := SelectionForCtx(context.Background(), g, c, algo, nil)
-	return sel
-}
-
-// SelectionForCtx is SelectionFor with cancellation and reusable BFS
-// buffers (nil is valid).
-func SelectionForCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch) (*ncr.Selection, error) {
-	return SelectionForPar(ctx, g, nil, c, algo, s, nil)
-}
-
-// SelectionForPar is SelectionForCtx with the selection walks sharded
-// across pool's workers (nil pool = serial, identical output) and, when
-// fg (the CSR snapshot of g) is non-nil, batched 64 heads per BFS sweep.
+// selection is the NC view for inspection purposes. The selection
+// honors ctx, reuses s's BFS buffers (nil is valid), shards across
+// pool's workers (nil pool = serial, identical output), and runs its
+// sweeps on fg, the CSR snapshot of g (see ncr.SelectPar).
 func SelectionForPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch, pool *partition.Pool) (*ncr.Selection, error) {
 	rule := ncr.RuleNC
 	switch algo {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cds"
 	"repro/internal/cluster"
 	"repro/internal/gateway"
+	"repro/internal/graph"
 	"repro/internal/ncr"
 	"repro/internal/udg"
 )
@@ -19,7 +21,7 @@ func TestBuildPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range gateway.Algorithms {
-		out, err := Build(net.G, Options{K: 2, Algorithm: algo})
+		out, err := BuildCtx(context.Background(), net.G, Options{K: 2, Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +43,7 @@ func TestBuildRejectsBadK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(net.G, Options{K: 0}); err == nil {
+	if _, err := BuildCtx(context.Background(), net.G, Options{K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -53,12 +55,22 @@ func TestSelectionForRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cluster.Run(net.G, cluster.Options{K: 2})
-	acSel := SelectionFor(net.G, c, gateway.ACLMST)
-	ncSel := SelectionFor(net.G, c, gateway.NCLMST)
+	acSel := selectionFor(t, net.G, c, gateway.ACLMST)
+	ncSel := selectionFor(t, net.G, c, gateway.NCLMST)
 	if acSel.Rule != ncr.RuleANCR || ncSel.Rule != ncr.RuleNC {
 		t.Fatalf("rules: %v %v", acSel.Rule, ncSel.Rule)
 	}
-	if !reflect.DeepEqual(SelectionFor(net.G, c, gateway.GMST).Neighbors, ncSel.Neighbors) {
+	if !reflect.DeepEqual(selectionFor(t, net.G, c, gateway.GMST).Neighbors, ncSel.Neighbors) {
 		t.Fatal("GMST should report the NC view")
 	}
+}
+
+// selectionFor is SelectionForPar run serially with a fresh snapshot.
+func selectionFor(t *testing.T, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *ncr.Selection {
+	t.Helper()
+	sel, err := SelectionForPar(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
 }

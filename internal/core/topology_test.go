@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestPipelineOnAdversarialTopologies(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 3} {
 			for _, algo := range gateway.Algorithms {
-				out, err := Build(g, Options{K: k, Algorithm: algo})
+				out, err := BuildCtx(context.Background(), g, Options{K: k, Algorithm: algo})
 				if err != nil {
 					t.Fatalf("%s k=%d %v: %v", sc.name, k, algo, err)
 				}
@@ -72,7 +73,7 @@ func clusteredConnected(t *testing.T, rng *rand.Rand) []geom.Point {
 func TestRingClusterCount(t *testing.T) {
 	pos := udg.RingPlacement(12, geom.Point{X: 50, Y: 50}, 30)
 	g := udg.Build(pos, udg.RingChord(12, 30)*1.01)
-	out, err := Build(g, Options{K: 1, Algorithm: gateway.ACLMST})
+	out, err := BuildCtx(context.Background(), g, Options{K: 1, Algorithm: gateway.ACLMST})
 	if err != nil {
 		t.Fatal(err)
 	}

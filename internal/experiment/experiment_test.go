@@ -220,10 +220,9 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-// TestWriteTableRaggedSeries: a series that stops early (the scale
-// figure's capped scalar column) must not truncate the table — rows
-// past its last x render with "-" in its column, and the CSV leaves
-// its cells empty.
+// TestWriteTableRaggedSeries: a series that stops early must not
+// truncate the table — rows past its last x render with "-" in its
+// column, and the CSV leaves its cells empty.
 func TestWriteTableRaggedSeries(t *testing.T) {
 	fig := &Figure{
 		Title:  "ragged",

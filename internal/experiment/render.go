@@ -8,9 +8,9 @@ import (
 
 // WriteTable renders a figure as an aligned text table: one row per
 // x-value, one column per series. Series may cover different x-ranges
-// (the scale figure's scalar column stops at its cap while the batched
-// columns run the full ladder); a series with no point at a row's x
-// renders as "-" rather than the row being dropped.
+// (a series that stops early, or starts late, leaves gaps); a series
+// with no point at a row's x renders as "-" rather than the row being
+// dropped.
 func (f *Figure) WriteTable(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%s\n", f.Title); err != nil {
 		return err

@@ -20,25 +20,16 @@ import (
 // full ladder up to the million-node build).
 var scaleNs = []int{1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 500000, 1000000}
 
-// scaleScalarMaxN caps the scalar-BFS comparison column: above this the
-// pre-batching per-source walks take so much longer than the batched
-// sweeps that timing them would dominate the whole figure's runtime for
-// a column whose trend is already unambiguous. The batched columns run
-// the full ladder.
-const scaleScalarMaxN = 100000
-
 // ScaleFigure measures single-build wall time vs N on large
 // grid-indexed unit-disk deployments, the workload behind
-// `khopsim -fig scale`, in three columns: the scalar per-source BFS
-// build (the pre-batching baseline, capped at scaleScalarMaxN), the
-// batched CSR multi-source-BFS build, and the batched build under
-// WithParallel-style sharding. Unlike the Monte-Carlo sweeps this
+// `khopsim -fig scale`, in two columns: the serial build and the build
+// under WithParallel-style sharding. Unlike the Monte-Carlo sweeps this
 // figure reports wall-clock milliseconds, so its numbers are
 // machine-dependent (and excluded from the golden gate); the
-// deployments themselves, and the structures every path builds on
-// them, remain seed-deterministic — each trial asserts the scalar,
-// batched, and parallel builds elect identical head sets and CDSes,
-// and the first trial of every rung machine-checks the paper's
+// deployments themselves, and the structures both columns build on
+// them, remain seed-deterministic — each trial asserts the serial and
+// parallel builds elect identical head sets and CDSes, and the first
+// trial of every rung machine-checks the paper's
 // invariants on the built structure with khop.VerifyResult (itself
 // batched, so the check stays linear at the million-node rung).
 //
@@ -59,28 +50,27 @@ func ScaleFigure(ctx context.Context, cfg RunConfig) (*Figure, error) {
 		XLabel: "Number of nodes",
 		YLabel: "Build wall time [ms]",
 	}
-	scalar := Series{Label: "scalar BFS (serial)"}
 	batched := Series{Label: "batched BFS (serial)"}
 	parallel := Series{Label: fmt.Sprintf("batched BFS (%d workers)", workers)}
-	// One warm scratch per path, exactly like an engine's steady state.
-	scs, bs, ps := core.NewScratch(), core.NewScratch(), core.NewScratch()
+	// One warm scratch per column, exactly like an engine's steady state.
+	bs, ps := core.NewScratch(), core.NewScratch()
 	for _, n := range scaleNs {
 		if n > cfg.ScaleMaxN {
 			continue
 		}
-		scSample, bSample, pSample := &metrics.Sample{}, &metrics.Sample{}, &metrics.Sample{}
+		bSample, pSample := &metrics.Sample{}, &metrics.Sample{}
 		r := cfg.runner(fmt.Sprintf("scale/n=%d", n))
 		// Trials time the build, so they must not race each other for
 		// cores: run them sequentially whatever -parallel says; the
 		// parallelism under test is inside the build.
 		r.Parallel = 1
 		_, err := RunTrials(ctx, r,
-			func(ctx context.Context, trial int, rng *rand.Rand) ([3]float64, error) {
+			func(ctx context.Context, trial int, rng *rand.Rand) ([2]float64, error) {
 				net, err := udg.Generate(udg.Config{N: n, AvgDegree: 10}, rng)
 				if err != nil {
-					return [3]float64{}, err
+					return [2]float64{}, err
 				}
-				build := func(s *core.Scratch, workers int, scalarBFS bool) (*core.Output, float64, error) {
+				build := func(s *core.Scratch, workers int) (*core.Output, float64, error) {
 					//lint:ignore khoplint/determinism the scale figure's wall-ms column measures real build time by design
 					start := time.Now()
 					out, err := core.BuildCtx(ctx, net.G, core.Options{
@@ -88,68 +78,47 @@ func ScaleFigure(ctx context.Context, cfg RunConfig) (*Figure, error) {
 						Algorithm: gateway.ACLMST,
 						Scratch:   s,
 						Pool:      s.Par(workers),
-						ScalarBFS: scalarBFS,
 					})
 					//lint:ignore khoplint/determinism elapsed wall time is the measured quantity, not part of the clustering output
 					return out, float64(time.Since(start).Microseconds()) / 1000, err
 				}
-				bOut, bMS, err := build(bs, 1, false)
+				bOut, bMS, err := build(bs, 1)
 				if err != nil {
-					return [3]float64{}, err
+					return [2]float64{}, err
 				}
-				pOut, pMS, err := build(ps, workers, false)
+				pOut, pMS, err := build(ps, workers)
 				if err != nil {
-					return [3]float64{}, err
+					return [2]float64{}, err
 				}
 				// Full set equality, not just cardinality: at these sizes
 				// this is the only cross-path check on production-scale
 				// graphs, and an equal-cardinality divergence must not
 				// slip through.
 				if !reflect.DeepEqual(bOut.Clustering.Heads, pOut.Clustering.Heads) {
-					return [3]float64{}, fmt.Errorf("N=%d: parallel build elected a different head set than serial", n)
+					return [2]float64{}, fmt.Errorf("N=%d: parallel build elected a different head set than serial", n)
 				}
 				if !reflect.DeepEqual(bOut.Gateway.CDS, pOut.Gateway.CDS) {
-					return [3]float64{}, fmt.Errorf("N=%d: parallel build selected a different CDS than serial", n)
-				}
-				var scMS float64
-				if n <= scaleScalarMaxN {
-					scOut, ms, err := build(scs, 1, true)
-					if err != nil {
-						return [3]float64{}, err
-					}
-					scMS = ms
-					if !reflect.DeepEqual(scOut.Clustering.Heads, bOut.Clustering.Heads) {
-						return [3]float64{}, fmt.Errorf("N=%d: batched build elected a different head set than scalar", n)
-					}
-					if !reflect.DeepEqual(scOut.Gateway.CDS, bOut.Gateway.CDS) {
-						return [3]float64{}, fmt.Errorf("N=%d: batched build selected a different CDS than scalar", n)
-					}
+					return [2]float64{}, fmt.Errorf("N=%d: parallel build selected a different CDS than serial", n)
 				}
 				if trial == 0 {
 					if err := verifyScaleBuild(net, bOut); err != nil {
-						return [3]float64{}, fmt.Errorf("N=%d: %w", n, err)
+						return [2]float64{}, fmt.Errorf("N=%d: %w", n, err)
 					}
 				}
-				return [3]float64{scMS, bMS, pMS}, nil
+				return [2]float64{bMS, pMS}, nil
 			},
-			func(idx int, v [3]float64) (bool, error) {
-				if n <= scaleScalarMaxN {
-					scSample.Add(v[0])
-				}
-				bSample.Add(v[1])
-				pSample.Add(v[2])
+			func(idx int, v [2]float64) (bool, error) {
+				bSample.Add(v[0])
+				pSample.Add(v[1])
 				return idx+1 >= cfg.ScaleRuns, nil
 			})
 		if err != nil {
 			return nil, fmt.Errorf("scale: N=%d: %w", n, err)
 		}
-		if n <= scaleScalarMaxN {
-			scalar.Points = append(scalar.Points, Point{N: n, Mean: scSample.Mean(), CI: scSample.CI(0.90), Runs: scSample.N()})
-		}
 		batched.Points = append(batched.Points, Point{N: n, Mean: bSample.Mean(), CI: bSample.CI(0.90), Runs: bSample.N()})
 		parallel.Points = append(parallel.Points, Point{N: n, Mean: pSample.Mean(), CI: pSample.CI(0.90), Runs: pSample.N()})
 	}
-	fig.Series = []Series{scalar, batched, parallel}
+	fig.Series = []Series{batched, parallel}
 	return fig, nil
 }
 

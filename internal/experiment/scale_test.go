@@ -6,32 +6,29 @@ import (
 )
 
 // TestScaleFigureSmall runs the scale workload at a test-sized ladder:
-// the figure must carry all three series (scalar, batched, batched
-// parallel) with matching x-axes, positive timings, and the in-trial
-// scalar/batched/parallel structure cross-checks — plus trial 0's
-// VerifyResult gate — must hold (a mismatch fails the build with an
-// error).
+// the figure must carry both series (serial and parallel) with matching
+// x-axes, positive timings, and the in-trial serial/parallel structure
+// cross-check — plus trial 0's VerifyResult gate — must hold (a mismatch
+// fails the build with an error).
 func TestScaleFigureSmall(t *testing.T) {
 	cfg := RunConfig{Seed: 1, ScaleMaxN: 2500, ScaleRuns: 2, ScaleWorkers: 4}
 	fig, err := ScaleFigure(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 3 {
-		t.Fatalf("series=%d, want 3", len(fig.Series))
+	if len(fig.Series) != 2 {
+		t.Fatalf("series=%d, want 2", len(fig.Series))
 	}
-	scalar, batched, parallel := fig.Series[0], fig.Series[1], fig.Series[2]
-	// N=1000, 2500 — both below the scalar cap, so all columns have both.
-	if len(scalar.Points) != 2 || len(batched.Points) != 2 || len(parallel.Points) != 2 {
-		t.Fatalf("points: scalar=%d batched=%d parallel=%d, want 2 each",
-			len(scalar.Points), len(batched.Points), len(parallel.Points))
+	batched, parallel := fig.Series[0], fig.Series[1]
+	// N=1000, 2500.
+	if len(batched.Points) != 2 || len(parallel.Points) != 2 {
+		t.Fatalf("points: batched=%d parallel=%d, want 2 each", len(batched.Points), len(parallel.Points))
 	}
 	for i := range batched.Points {
-		if scalar.Points[i].N != batched.Points[i].N || batched.Points[i].N != parallel.Points[i].N {
-			t.Fatalf("x-axis mismatch at %d: %d / %d / %d",
-				i, scalar.Points[i].N, batched.Points[i].N, parallel.Points[i].N)
+		if batched.Points[i].N != parallel.Points[i].N {
+			t.Fatalf("x-axis mismatch at %d: %d / %d", i, batched.Points[i].N, parallel.Points[i].N)
 		}
-		if scalar.Points[i].Mean <= 0 || batched.Points[i].Mean <= 0 || parallel.Points[i].Mean <= 0 {
+		if batched.Points[i].Mean <= 0 || parallel.Points[i].Mean <= 0 {
 			t.Fatalf("non-positive wall time at N=%d", batched.Points[i].N)
 		}
 		if batched.Points[i].Runs != cfg.ScaleRuns {

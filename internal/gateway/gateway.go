@@ -114,52 +114,55 @@ func Run(g *graph.Graph, c *cluster.Clustering, algo Algorithm) *Result {
 
 // RunCtx executes the full pipeline for the given algorithm, honoring
 // cancellation between the per-pair and per-head steps of the selection
-// hot loops and reusing s's BFS buffers across them (nil is valid).
+// hot loops and reusing s's BFS buffers across them (nil is valid). It
+// flattens g once and shares the snapshot between the neighbor and the
+// gateway selection stages.
 func RunCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo Algorithm, s *graph.Scratch) (*Result, error) {
 	rule := ncr.RuleNC
 	switch algo {
 	case ACMesh, ACLMST:
 		rule = ncr.RuleANCR
-	case GMST:
-		return globalMSTCtx(ctx, g, nil, c, s, nil)
-	case NCMesh, NCLMST:
+	case NCMesh, NCLMST, GMST:
 	default:
 		panic(fmt.Sprintf("gateway: unknown algorithm %d", int(algo)))
 	}
-	sel, err := ncr.SelectCtx(ctx, g, c, rule, s)
-	if err != nil {
-		return nil, err
+	fg := graph.Flatten(g)
+	var sel *ncr.Selection
+	if algo != GMST {
+		var err error
+		if sel, err = ncr.SelectPar(ctx, g, fg, c, rule, s, nil); err != nil {
+			return nil, err
+		}
 	}
-	return RunSelectedCtx(ctx, g, c, sel, algo, s)
+	return runSelected(ctx, fg, c, sel, algo, s, nil, nil, nil)
 }
 
-// RunSelectedCtx runs the gateway-selection stage for algo over an
+// RunSelectedPar runs the gateway-selection stage for algo over an
 // already-computed neighbor selection, for callers (like internal/core)
 // that need the selection themselves and should not pay for it twice.
 // GMST connects all head pairs centrally and ignores sel.
-func RunSelectedCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch) (*Result, error) {
-	return runSelected(ctx, g, nil, c, sel, algo, s, nil, nil, nil)
-}
-
-// RunSelectedPar is RunSelectedCtx with the per-pair shortest-path
-// computations, the per-head local MSTs (LMSTGA), and G-MST's per-head
-// distance passes sharded across pool's workers. The Result — links,
-// paths, gateways, CDS — is identical to a serial run for any worker
-// count: every sharded item is an independent read-only computation
-// whose outputs merge in the serial order. A nil pool (or one worker)
-// is the serial path.
 //
-// A non-nil fg (the CSR snapshot of g) additionally batches the BFS
-// fan-outs: per-pair shortest paths group by source into one shared
-// early-exiting walk per head, and G-MST's per-head distance rows run
-// as multi-source sweeps, 64 heads per frontier pass. The tie-break
-// (smallest-ID parent one hop closer to the source) is reproduced
-// exactly, so the Result stays bitwise identical to the scalar path.
+// The per-pair shortest-path computations, the per-head local MSTs
+// (LMSTGA), and G-MST's per-head distance passes shard across pool's
+// workers. The Result — links, paths, gateways, CDS — is identical to a
+// serial run for any worker count: every sharded item is an independent
+// read-only computation whose outputs merge in the serial order. A nil
+// pool (or one worker) is the serial path.
+//
+// The BFS fan-outs run on fg, the CSR snapshot of g (nil makes
+// RunSelectedPar flatten g itself): per-pair shortest paths group by
+// source into one shared early-exiting walk per head, and G-MST's
+// per-head distance rows run as multi-source sweeps, 64 heads per
+// frontier pass. Paths break ties toward the smallest-ID parent one hop
+// closer to the source, as Graph.ShortestPath does.
 func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, pool *partition.Pool) (*Result, error) {
-	return runSelected(ctx, g, fg, c, sel, algo, s, nil, nil, pool)
+	if fg == nil {
+		fg = graph.Flatten(g)
+	}
+	return runSelected(ctx, fg, c, sel, algo, s, nil, nil, pool)
 }
 
-// RunSelectedFrom is RunSelectedCtx for incremental repair: it re-runs
+// RunSelectedFrom is RunSelectedPar for incremental repair: it re-runs
 // gateway selection after a local topology change, reusing from prev the
 // gateway paths of virtual links the change did not touch. A cached path
 // is kept when the link is still selected, neither endpoint head is in
@@ -172,85 +175,62 @@ func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c 
 // introduce a shorter alternative that only a full re-run would find.
 // That keeps repairs local at the cost of (bounded) path staleness,
 // exactly the trade the paper makes for maintenance. GMST, centralized
-// by definition, ignores prev and recomputes from scratch.
-func RunSelectedFrom(ctx context.Context, g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, prev *Result, dirty map[int]bool) (*Result, error) {
-	var cache map[[2]int][]int
-	if prev != nil && algo != GMST {
-		cache = make(map[[2]int][]int, len(prev.Paths))
-		for link, path := range prev.Paths {
-			if dirty[link[0]] || dirty[link[1]] {
-				continue
-			}
-			if pathIntact(g, path) {
-				cache[link] = path
-			}
-		}
+// by definition, ignores prev and recomputes from scratch. fg is the CSR
+// snapshot of g, as for RunSelectedPar; nil makes RunSelectedFrom
+// flatten g itself.
+func RunSelectedFrom(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, prev *Result, dirty map[int]bool) (*Result, error) {
+	if fg == nil {
+		fg = graph.Flatten(g)
 	}
+	var cache map[[2]int][]int
 	var prevLMST *lmstState
 	if prev != nil {
 		prevLMST = prev.lmst
+		if algo != GMST {
+			cache = reusablePaths(g, prev, dirty)
+		}
 	}
-	return runSelected(ctx, g, nil, c, sel, algo, s, cache, prevLMST, nil)
+	return runSelected(ctx, fg, c, sel, algo, s, cache, prevLMST, nil)
 }
 
-func runSelected(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, cache map[[2]int][]int, prev *lmstState, pool *partition.Pool) (*Result, error) {
+// reusablePaths returns the paths of prev that a re-run on g may reuse,
+// keyed by canonical link: those whose endpoint heads are not dirty and
+// whose every edge still exists in g.
+func reusablePaths(g *graph.Graph, prev *Result, dirty map[int]bool) map[[2]int][]int {
+	cache := make(map[[2]int][]int, len(prev.Paths))
+	for link, path := range prev.Paths {
+		if dirty[link[0]] || dirty[link[1]] {
+			continue
+		}
+		if pathIntact(g, path) {
+			cache[link] = path
+		}
+	}
+	return cache
+}
+
+func runSelected(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, cache map[[2]int][]int, prev *lmstState, pool *partition.Pool) (*Result, error) {
 	switch algo {
 	case NCMesh, ACMesh:
-		return meshCtx(ctx, g, fg, c, sel, algo, s, cache, pool)
+		return meshCtx(ctx, fg, c, sel, algo, s, cache, pool)
 	case NCLMST, ACLMST:
-		return lmstCtx(ctx, g, fg, c, sel, algo, KeepUnion, s, cache, prev, pool)
+		return lmstCtx(ctx, fg, c, sel, algo, KeepUnion, s, cache, prev, pool)
 	case GMST:
-		return globalMSTCtx(ctx, g, fg, c, s, pool)
+		return globalMSTCtx(ctx, fg, c, s, pool)
 	default:
 		panic(fmt.Sprintf("gateway: unknown algorithm %d", int(algo)))
 	}
 }
 
-// shortestPaths computes the deterministic shortest path of every pair,
-// sharded across pool's workers (serial with a nil pool or one worker,
-// preserving the original per-pair cancellation points). Each shard
-// writes only its own slots of the result, so the path set cannot
-// depend on scheduling; cached paths short-circuit exactly as serially.
-//
-// With a CSR snapshot (fg non-nil) the pairs are grouped by source
-// head, and each group shares one early-exiting BFS
-// (FlatGraph.ShortestPathsFrom) whose back-walks reproduce the scalar
-// per-pair paths element for element; groups shard across the pool.
-func shortestPaths(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, pairs [][2]int, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) ([][]int, error) {
+// shortestPaths computes the deterministic shortest path of every pair:
+// the pairs are grouped by source head, and each group shares one
+// early-exiting BFS (FlatGraph.ShortestPathsFrom) whose min-ID back-walks
+// yield exactly Graph.ShortestPath's per-pair paths. Cached pairs
+// (stored canonically, smaller head first) are reused instead. Groups
+// shard across pool's workers; each writes only its own slots of the
+// result, so the path set cannot depend on scheduling.
+func shortestPaths(ctx context.Context, fg *graph.FlatGraph, pairs [][2]int, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) ([][]int, error) {
 	out := make([][]int, len(pairs))
-	if fg != nil {
-		return out, groupedPaths(ctx, fg, pairs, out, s, cache, pool)
-	}
-	if pool.Workers() <= 1 {
-		for i, pair := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = cachedPath(g, s, cache, pair[0], pair[1])
-		}
-		return out, nil
-	}
-	err := pool.Shard(ctx, len(pairs), func(_ int, bs *graph.Scratch, r partition.Range) error {
-		for i := r.Start; i < r.End; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			out[i] = cachedPath(g, bs, cache, pairs[i][0], pairs[i][1])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// groupedPaths fills out[i] with the path of pairs[i], one shared
-// early-exit BFS per distinct source vertex. Each group writes only its
-// own slots of out, so the result is identical for any worker count —
-// and identical to the scalar per-pair computation, since the shared
-// BFS recovers every path with the same min-ID back-walk.
-func groupedPaths(ctx context.Context, fg *graph.FlatGraph, pairs [][2]int, out [][]int, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) error {
 	order := make([]int, len(pairs))
 	for i := range order {
 		order[i] = i
@@ -289,18 +269,17 @@ func groupedPaths(ctx context.Context, fg *graph.FlatGraph, pairs [][2]int, out 
 		return nil
 	}
 	if pool.Workers() <= 1 {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
+		if s == nil {
+			s = graph.NewScratch()
 		}
 		for _, gr := range groups {
-			if err := doGroup(bs, gr); err != nil {
-				return err
+			if err := doGroup(s, gr); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return out, nil
 	}
-	return pool.Shard(ctx, len(groups), func(_ int, bs *graph.Scratch, r partition.Range) error {
+	err := pool.Shard(ctx, len(groups), func(_ int, bs *graph.Scratch, r partition.Range) error {
 		for gi := r.Start; gi < r.End; gi++ {
 			if err := doGroup(bs, groups[gi]); err != nil {
 				return err
@@ -308,6 +287,10 @@ func groupedPaths(ctx context.Context, fg *graph.FlatGraph, pairs [][2]int, out 
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // pathIntact reports whether every hop of path is still an edge of g.
@@ -320,28 +303,18 @@ func pathIntact(g *graph.Graph, path []int) bool {
 	return len(path) > 0
 }
 
-// cachedPath returns the cached path for the pair (u, v) or computes a
-// fresh shortest path. Cached paths are stored canonically (smaller head
-// first), matching how selection pairs are enumerated.
-func cachedPath(g *graph.Graph, s *graph.Scratch, cache map[[2]int][]int, u, v int) []int {
-	if p, ok := cache[canon(u, v)]; ok {
-		return p
-	}
-	return g.ShortestPathScratch(s, u, v)
-}
-
 // Mesh marks, for every selected neighbor head pair, the intermediate
 // nodes of the deterministic shortest path between the two heads as
 // gateways (the mesh-based scheme: exactly one gateway path per pair).
 func Mesh(g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm) *Result {
-	res, _ := meshCtx(context.Background(), g, nil, c, sel, label, nil, nil, nil)
+	res, _ := meshCtx(context.Background(), graph.Flatten(g), c, sel, label, nil, nil, nil)
 	return res
 }
 
-func meshCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*Result, error) {
+func meshCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*Result, error) {
 	res := newResult(label)
 	pairs := sel.Pairs()
-	paths, err := shortestPaths(ctx, g, fg, pairs, s, cache, pool)
+	paths, err := shortestPaths(ctx, fg, pairs, s, cache, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -382,12 +355,12 @@ func (k KeepRule) String() string {
 // local MST, and keeps the virtual links from u to its on-tree
 // neighbors. Gateways are the intermediate nodes of kept links.
 func LMST(g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, keep KeepRule) *Result {
-	res, _ := lmstCtx(context.Background(), g, nil, c, sel, label, keep, nil, nil, nil, nil)
+	res, _ := lmstCtx(context.Background(), graph.Flatten(g), c, sel, label, keep, nil, nil, nil, nil)
 	return res
 }
 
-func lmstCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, keep KeepRule, s *graph.Scratch, cache map[[2]int][]int, prev *lmstState, pool *partition.Pool) (*Result, error) {
-	vg, paths, err := virtualGraphCtx(ctx, g, fg, sel, s, cache, pool)
+func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, keep KeepRule, s *graph.Scratch, cache map[[2]int][]int, prev *lmstState, pool *partition.Pool) (*Result, error) {
+	vg, paths, err := virtualGraphCtx(ctx, fg, sel, s, cache, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -517,12 +490,12 @@ func changedHeads(oldVG, newVG *graph.WGraph) map[int]bool {
 // (weight = hop distance, ID tiebreak), with intermediate path nodes as
 // gateways.
 func GlobalMST(g *graph.Graph, c *cluster.Clustering) *Result {
-	res, _ := globalMSTCtx(context.Background(), g, nil, c, nil, nil)
+	res, _ := globalMSTCtx(context.Background(), graph.Flatten(g), c, nil, nil)
 	return res
 }
 
-func globalMSTCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, s *graph.Scratch, pool *partition.Pool) (*Result, error) {
-	dists, err := headDistRows(ctx, g, fg, c.Heads, s, pool)
+func globalMSTCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, s *graph.Scratch, pool *partition.Pool) (*Result, error) {
+	dists, err := headDistRows(ctx, fg, c.Heads, s, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +516,7 @@ func globalMSTCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *c
 	for i, e := range mst {
 		links[i] = canon(e.U, e.V)
 	}
-	paths, err := shortestPaths(ctx, g, fg, links, s, nil, pool)
+	paths, err := shortestPaths(ctx, fg, links, s, nil, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -557,46 +530,28 @@ func globalMSTCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *c
 // headDistRows computes, for every head, its hop distances to all later
 // heads (rows hold only u < v pairs, ascending by the far head): row i
 // is what a whole-graph BFS from heads[i] sees of heads[i+1:]. This is
-// the BFS-dominated pass of G-MST. Scalar (fg == nil) it is exactly
-// that — one whole-graph BFS per head, sharded across the pool, each
-// shard owning its rows. With a CSR snapshot the rows come instead from
-// unbounded multi-source sweeps, 64 heads per frontier pass, the head
-// list cut into graph-locality blocks (FlatGraph.LocalityOrder) so each
-// sweep's sources share their frontiers; each row is then sorted by the
-// far head, restoring the serial row order exactly.
-func headDistRows(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, heads []int, s *graph.Scratch, pool *partition.Pool) ([][]graph.WEdge, error) {
+// the BFS-dominated pass of G-MST. The rows come from unbounded
+// multi-source sweeps, 64 heads per frontier pass, the head list cut
+// into graph-locality blocks (FlatGraph.LocalityOrder) so each sweep's
+// sources share their frontiers; blocks shard across the pool, each
+// shard owning its rows. Each row is then sorted by the far head.
+func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *graph.Scratch, pool *partition.Pool) ([][]graph.WEdge, error) {
 	dists := make([][]graph.WEdge, len(heads))
-	var perm []int
-	var headIdx []int32 // headIdx[v] = index of v in heads, -1 for non-heads
-	if fg != nil {
-		perm = fg.LocalityOrder(heads)
-		headIdx = make([]int32, fg.N())
-		for v := range headIdx {
-			headIdx[v] = -1
-		}
-		for i, h := range heads {
-			headIdx[h] = int32(i)
-		}
+	perm := fg.LocalityOrder(heads)
+	headIdx := make([]int32, fg.N()) // headIdx[v] = index of v in heads, -1 for non-heads
+	for v := range headIdx {
+		headIdx[v] = -1
 	}
-	headDists := func(bs *graph.Scratch, i int) []graph.WEdge {
-		u := heads[i]
-		dist := g.BFSScratch(bs, u)
-		var row []graph.WEdge
-		for _, v := range heads[i+1:] {
-			if d := dist.Dist(v); d != graph.Unreachable {
-				row = append(row, graph.WEdge{U: u, V: v, Weight: d})
-			}
-		}
-		return row
+	for i, h := range heads {
+		headIdx[h] = int32(i)
 	}
-	headDistsBatch := func(bs *graph.Scratch, lo, hi int) error {
+	rowRange := func(bs *graph.Scratch, lo, hi int) error {
 		var block [64]int
 		for base := lo; base < hi; base += 64 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			end := min(base+64, hi)
-			idxs := perm[base:end]
+			idxs := perm[base:min(base+64, hi)]
 			for i, pi := range idxs {
 				block[i] = heads[pi]
 			}
@@ -621,35 +576,18 @@ func headDistRows(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, head
 	}
 	if pool.Workers() > 1 {
 		err := pool.Shard(ctx, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			if fg != nil {
-				return headDistsBatch(bs, r.Start, r.End)
-			}
-			for i := r.Start; i < r.End; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				dists[i] = headDists(bs, i)
-			}
-			return nil
+			return rowRange(bs, r.Start, r.End)
 		})
 		if err != nil {
 			return nil, err
 		}
-	} else if fg != nil {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
-		}
-		if err := headDistsBatch(bs, 0, len(heads)); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range heads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			dists[i] = headDists(s, i)
-		}
+		return dists, nil
+	}
+	if s == nil {
+		s = graph.NewScratch()
+	}
+	if err := rowRange(s, 0, len(heads)); err != nil {
+		return nil, err
 	}
 	return dists, nil
 }
@@ -660,17 +598,17 @@ func headDistRows(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, head
 // returns the underlying path of each virtual link keyed by canonical
 // pair.
 func VirtualGraph(g *graph.Graph, sel *ncr.Selection) (*graph.WGraph, map[[2]int][]int) {
-	vg, paths, _ := virtualGraphCtx(context.Background(), g, nil, sel, nil, nil, nil)
+	vg, paths, _ := virtualGraphCtx(context.Background(), graph.Flatten(g), sel, nil, nil, nil)
 	return vg, paths
 }
 
-func virtualGraphCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, sel *ncr.Selection, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*graph.WGraph, map[[2]int][]int, error) {
+func virtualGraphCtx(ctx context.Context, fg *graph.FlatGraph, sel *ncr.Selection, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*graph.WGraph, map[[2]int][]int, error) {
 	vg := graph.NewWGraph()
 	for h := range sel.Neighbors {
 		vg.AddVertex(h)
 	}
 	pairs := sel.Pairs()
-	pairPaths, err := shortestPaths(ctx, g, fg, pairs, s, cache, pool)
+	pairPaths, err := shortestPaths(ctx, fg, pairs, s, cache, pool)
 	if err != nil {
 		return nil, nil, err
 	}

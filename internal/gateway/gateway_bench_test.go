@@ -11,42 +11,37 @@ import (
 )
 
 // benchClustered is one production-scale grid-indexed deployment (no
-// connectivity filter) clustered at k=2.
-func benchClustered(b *testing.B, n int) (*graph.Graph, *graph.FlatGraph, *cluster.Clustering) {
+// connectivity filter) clustered at k=2, with its CSR snapshot.
+func benchClustered(b *testing.B, n int) (*graph.FlatGraph, *cluster.Clustering) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	net, err := udg.Generate(udg.Config{N: n, AvgDegree: 10}, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return net.G, graph.Flatten(net.G), cluster.Run(net.G, cluster.Options{K: 2})
+	return graph.Flatten(net.G), cluster.Run(net.G, cluster.Options{K: 2})
 }
 
-// BenchmarkGMSTHeadDists pits G-MST's BFS-dominated pass — the
-// head-to-head distance rows feeding the virtual graph — batched
-// (unbounded 64-head multi-source sweeps over locality-ordered blocks)
-// against the scalar one-whole-graph-BFS-per-head baseline it replaces,
-// serial both ways so the delta is batching alone. 256 of the heads
-// keep one leg under a second; they are a locality-contiguous run (an
-// ID-prefix subset would thin the source density and starve the blocks
-// of frontier sharing the full pass gets), so per-head cost in both
-// legs matches the full pass and the ratio carries over.
+// BenchmarkGMSTHeadDists times G-MST's BFS-dominated pass — the
+// head-to-head distance rows feeding the virtual graph, as unbounded
+// 64-head multi-source sweeps over locality-ordered blocks — serially.
+// 256 of the heads keep it under a second; they are a
+// locality-contiguous run (an ID-prefix subset would thin the source
+// density and starve the blocks of frontier sharing the full pass
+// gets), so per-head cost matches the full pass.
 func BenchmarkGMSTHeadDists(b *testing.B) {
-	g, fg, c := benchClustered(b, 50000)
+	fg, c := benchClustered(b, 50000)
 	heads := make([]int, 256)
 	for i, pi := range fg.LocalityOrder(c.Heads)[:256] {
 		heads[i] = c.Heads[pi]
 	}
 	ctx := context.Background()
-	run := func(b *testing.B, flat *graph.FlatGraph) {
+	b.Run("N=50k/batched", func(b *testing.B) {
 		s := graph.NewScratch()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := headDistRows(ctx, g, flat, heads, s, nil); err != nil {
+			if _, err := headDistRows(ctx, fg, heads, s, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("N=50k/scalar", func(b *testing.B) { run(b, nil) })
-	b.Run("N=50k/batched", func(b *testing.B) { run(b, fg) })
+	})
 }

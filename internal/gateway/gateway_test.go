@@ -340,15 +340,15 @@ func TestWuLouSelectionConnects(t *testing.T) {
 func TestRunSelectedFromMatchesFullRun(t *testing.T) {
 	for _, algo := range Algorithms {
 		g, c := testInstance(t, 90, 7, 2, 211)
-		sel, err := ncr.SelectCtx(context.Background(), g, c, ruleOf(algo), nil)
+		sel, err := ncr.SelectPar(context.Background(), g, nil, c, ruleOf(algo), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := RunSelectedCtx(context.Background(), g, c, sel, algo, nil)
+		full, err := RunSelectedPar(context.Background(), g, nil, c, sel, algo, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := RunSelectedFrom(context.Background(), g, c, sel, algo, nil, full, nil)
+		inc, err := RunSelectedFrom(context.Background(), g, nil, c, sel, algo, nil, full, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestRunSelectedFromAfterRemoval(t *testing.T) {
 	for _, algo := range []Algorithm{ACLMST, NCLMST, ACMesh} {
 		g, c := testInstance(t, 90, 7, 2, 223)
 		sel := ncr.Select(g, c, ruleOf(algo))
-		before, err := RunSelectedCtx(context.Background(), g, c, sel, algo, nil)
+		before, err := RunSelectedPar(context.Background(), g, nil, c, sel, algo, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,13 +396,13 @@ func TestRunSelectedFromAfterRemoval(t *testing.T) {
 				}
 			}
 		}
-		inc, err := RunSelectedFrom(context.Background(), g, c, sel, algo, nil, before, dirty)
+		inc, err := RunSelectedFrom(context.Background(), g, nil, c, sel, algo, nil, before, dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The memo must not change the outcome: a run with the same
 		// inputs but no previous state is the ground truth.
-		cold, err := RunSelectedFrom(context.Background(), g, c, sel, algo, nil, &Result{Paths: before.Paths}, dirty)
+		cold, err := RunSelectedFrom(context.Background(), g, nil, c, sel, algo, nil, &Result{Paths: before.Paths}, dirty)
 		if err != nil {
 			t.Fatal(err)
 		}

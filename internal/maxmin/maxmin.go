@@ -39,32 +39,29 @@ import (
 // are not k-hop independent — callers comparing against the lowest-ID
 // clustering must not assert independence.
 func Run(g *graph.Graph, d int) *cluster.Clustering {
-	c, err := RunCtx(context.Background(), g, d, nil)
+	c, err := RunPar(context.Background(), g, nil, d, nil, nil)
 	if err != nil {
 		panic(err.Error()) // Background context cannot be cancelled
 	}
 	return c
 }
 
-// RunCtx is Run with cancellation between flood rounds and reusable BFS
-// buffers (nil is valid) for the final distance-to-head pass.
-func RunCtx(ctx context.Context, g *graph.Graph, d int, s *graph.Scratch) (*cluster.Clustering, error) {
-	return RunPar(ctx, g, nil, d, s, nil)
-}
-
-// RunPar is RunCtx with each synchronous flood round (and the final
-// election and distance passes) sharded across pool's workers. A flood
-// round reads the previous round's winners and writes each node's slot
-// exclusively — the synchronous-round structure *is* the partition — so
-// the clustering is identical to a serial run for any worker count. A
-// nil pool (or one worker) is the serial path. A non-nil fg (the CSR
-// snapshot of g) moves the flood rounds onto the flat arrays and the
-// final distance pass onto multi-source batched BFS (64 heads per
-// frontier sweep, depth d); both are bitwise identical to the scalar
-// passes.
+// RunPar is Run with cancellation between flood rounds, reusable BFS
+// buffers (nil is valid) for the final distance-to-head pass, and each
+// synchronous flood round (and the final election and distance passes)
+// sharded across pool's workers. A flood round reads the previous
+// round's winners and writes each node's slot exclusively — the
+// synchronous-round structure *is* the partition — so the clustering is
+// identical to a serial run for any worker count. A nil pool (or one
+// worker) is the serial path. The floods read fg, the CSR snapshot of g
+// (nil makes RunPar flatten g itself), and the distance pass runs as
+// multi-source batched BFS on it: 64 heads per frontier sweep, depth d.
 func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *graph.Scratch, pool *partition.Pool) (*cluster.Clustering, error) {
 	if d < 1 {
 		panic(fmt.Sprintf("maxmin: d must be ≥ 1, got %d", d))
+	}
+	if fg == nil {
+		fg = graph.Flatten(g)
 	}
 	n := g.N()
 	winner := make([]int, n)
@@ -81,17 +78,9 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 		round := func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				best := winner[v]
-				if fg != nil {
-					for _, u := range fg.Neighbors(v) {
-						if better(winner[u], best) {
-							best = winner[u]
-						}
-					}
-				} else {
-					for _, u := range g.Neighbors(v) {
-						if better(winner[u], best) {
-							best = winner[u]
-						}
+				for _, u := range fg.Neighbors(v) {
+					if better(winner[u], best) {
+						best = winner[u]
 					}
 				}
 				next[v] = best
@@ -168,24 +157,13 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	}
 	sort.Ints(heads)
 
-	// Distance-to-head: one BFS per head, writing only its own members'
-	// slots (Head is a function, so members partition across heads).
-	// Every member is within d hops of its head (the flood only carries
-	// IDs d hops), so the batched pass's depth-d sweeps reach exactly the
-	// vertices the scalar whole-graph BFS would assign.
+	// Distance-to-head: one depth-d multi-source sweep per 64-head block
+	// (blocks cut in graph-locality order), each writing only its own
+	// heads' members' slots (Head is a function, so members partition
+	// across heads). Every member is within d hops of its head (the flood
+	// only carries IDs d hops), so the sweeps reach every member.
 	distToHead := make([]int, n)
-	headDist := func(bs *graph.Scratch, h int) {
-		dist := g.BFSScratch(bs, h)
-		for v := 0; v < n; v++ {
-			if head[v] == h {
-				distToHead[v] = dist.Dist(v)
-			}
-		}
-	}
-	var headPerm []int // graph-locality 64-blocking of the head list
-	if fg != nil {
-		headPerm = fg.BlockOrder(heads, d)
-	}
+	headPerm := fg.BlockOrder(heads, d)
 	headDistRange := func(bs *graph.Scratch, lo, hi int) error {
 		var block [64]int
 		for base := lo; base < hi; base += 64 {
@@ -209,34 +187,17 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	}
 	if pool.Workers() > 1 {
 		err := pool.Shard(ctx, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			if fg != nil {
-				return headDistRange(bs, r.Start, r.End)
-			}
-			for i := r.Start; i < r.End; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				headDist(bs, heads[i])
-			}
-			return nil
+			return headDistRange(bs, r.Start, r.End)
 		})
 		if err != nil {
 			return nil, err
 		}
-	} else if fg != nil {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
-		}
-		if err := headDistRange(bs, 0, len(heads)); err != nil {
-			return nil, err
-		}
 	} else {
-		for _, h := range heads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			headDist(s, h)
+		if s == nil {
+			s = graph.NewScratch()
+		}
+		if err := headDistRange(s, 0, len(heads)); err != nil {
+			return nil, err
 		}
 	}
 

@@ -204,20 +204,6 @@ func adopt(gc *graph.Graph, k int, algo gateway.Algorithm, c *cluster.Clustering
 // Alive reports whether node is still part of the network.
 func (m *Maintainer) Alive(node int) bool { return m.alive[node] }
 
-// Depart removes node from the network and repairs the structure,
-// returning a report of the repair scope. Departing an already-departed
-// node is an error.
-//
-// Deprecated: Depart is ApplyBatch with a single Leave event; batch
-// events through ApplyBatch so repairs coalesce.
-func (m *Maintainer) Depart(node int) (RepairReport, error) {
-	reps, err := m.ApplyBatch(context.Background(), []Event{{Kind: EventLeave, Node: node}})
-	if err != nil {
-		return RepairReport{}, err
-	}
-	return reps[0], nil
-}
-
 // ApplyBatch applies a sequence of churn events and repairs the
 // structure, coalescing the gateway work: events are repaired at the
 // clustering level one by one (so each report's scope is per-event), but
@@ -721,15 +707,17 @@ func (m *Maintainer) ballDist(v, h int) int {
 
 // refreshGateways re-runs neighbor and gateway selection once for the
 // repaired clustering, reusing from the previous result every gateway
-// path the batch did not touch (see gateway.RunSelectedFrom). It always
-// runs to completion — the repairs it materializes already happened.
+// path the batch did not touch (see gateway.RunSelectedFrom). Both
+// stages share one CSR snapshot of the repaired graph. It always runs to
+// completion — the repairs it materializes already happened.
 func (m *Maintainer) refreshGateways(dirtyHeads map[int]bool) error {
 	ctx := context.Background()
-	sel, err := core.SelectionForCtx(ctx, m.G, m.C, m.Algo, m.scratch)
+	fg := graph.Flatten(m.G)
+	sel, err := core.SelectionForPar(ctx, m.G, fg, m.C, m.Algo, m.scratch, nil)
 	if err != nil {
 		return err
 	}
-	res, err := gateway.RunSelectedFrom(ctx, m.G, m.C, sel, m.Algo, m.scratch, m.Res, dirtyHeads)
+	res, err := gateway.RunSelectedFrom(ctx, m.G, fg, m.C, sel, m.Algo, m.scratch, m.Res, dirtyHeads)
 	if err != nil {
 		return err
 	}

@@ -208,7 +208,7 @@ func TestDepartMember(t *testing.T) {
 	}
 	headsBefore := append([]int(nil), m.C.Heads...)
 	gwBefore := append([]int(nil), m.Res.Gateways...)
-	rep, err := m.Depart(member)
+	rep, err := depart(m, member)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDepartGateway(t *testing.T) {
 		t.Skip("no gateways on this instance")
 	}
 	gw := m.Res.Gateways[0]
-	rep, err := m.Depart(gw)
+	rep, err := depart(m, gw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestDepartHead(t *testing.T) {
 	m := NewMaintainer(g, 2, gateway.ACLMST)
 	head := m.C.Heads[len(m.C.Heads)/2]
 	members := len(m.C.Members(head)) - 1
-	rep, err := m.Depart(head)
+	rep, err := depart(m, head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,16 +270,16 @@ func TestDepartHead(t *testing.T) {
 func TestDepartErrors(t *testing.T) {
 	g := testGraph(t, 40, 6, 19)
 	m := NewMaintainer(g, 1, gateway.ACLMST)
-	if _, err := m.Depart(-1); err == nil {
+	if _, err := depart(m, -1); err == nil {
 		t.Error("negative node accepted")
 	}
-	if _, err := m.Depart(g.N()); err == nil {
+	if _, err := depart(m, g.N()); err == nil {
 		t.Error("out-of-range node accepted")
 	}
-	if _, err := m.Depart(0); err != nil {
+	if _, err := depart(m, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Depart(0); err == nil {
+	if _, err := depart(m, 0); err == nil {
 		t.Error("double departure accepted")
 	}
 }
@@ -295,7 +295,7 @@ func TestDepartManyInvariants(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(k) * 31))
 			order := rng.Perm(g.N())
 			for _, node := range order[:g.N()/2] {
-				if _, err := m.Depart(node); err != nil {
+				if _, err := depart(m, node); err != nil {
 					t.Fatalf("k=%d %v: %v", k, algo, err)
 				}
 				checkMaintained(t, m)
@@ -312,7 +312,7 @@ func TestMaintainerDominationOnAliveGraph(t *testing.T) {
 	m := NewMaintainer(g, 2, gateway.ACLMST)
 	rng := rand.New(rand.NewSource(3))
 	for _, node := range rng.Perm(g.N())[:20] {
-		if _, err := m.Depart(node); err != nil {
+		if _, err := depart(m, node); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func TestNewMaintainerDoesNotMutateInput(t *testing.T) {
 	g := testGraph(t, 50, 6, 31)
 	edgesBefore := g.M()
 	m := NewMaintainer(g, 2, gateway.ACLMST)
-	if _, err := m.Depart(m.C.Heads[0]); err != nil {
+	if _, err := depart(m, m.C.Heads[0]); err != nil {
 		t.Fatal(err)
 	}
 	if g.M() != edgesBefore {
@@ -361,7 +361,7 @@ func TestJoinBackAsMember(t *testing.T) {
 		t.Skip("no plain member on this instance")
 	}
 	nbrs := append([]int(nil), g.Neighbors(member)...)
-	if _, err := m.Depart(member); err != nil {
+	if _, err := depart(m, member); err != nil {
 		t.Fatal(err)
 	}
 	alive := nbrs[:0]
@@ -400,7 +400,7 @@ func TestJoinBackAsMember(t *testing.T) {
 func TestJoinInRadioSilenceBecomesHead(t *testing.T) {
 	g := testGraph(t, 40, 6, 41)
 	m := NewMaintainer(g, 2, gateway.ACLMST)
-	if _, err := m.Depart(11); err != nil {
+	if _, err := depart(m, 11); err != nil {
 		t.Fatal(err)
 	}
 	reps, err := m.ApplyBatch(context.Background(), []Event{{Kind: EventJoin, Node: 11}})
@@ -493,7 +493,7 @@ func TestApplyBatchEventErrors(t *testing.T) {
 		}
 	}
 	// Dead nodes cannot move and cannot be neighbors.
-	if _, err := m.Depart(5); err != nil {
+	if _, err := depart(m, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.ApplyBatch(ctx, []Event{{Kind: EventMove, Node: 5, Neighbors: []int{1}}}); err == nil {
@@ -616,4 +616,13 @@ func TestAdoptInfersDepartedSlots(t *testing.T) {
 			t.Errorf("fresh adoption marked node %d dead", v)
 		}
 	}
+}
+
+// depart applies a single Leave of node as a one-event batch.
+func depart(m *Maintainer, node int) (RepairReport, error) {
+	reps, err := m.ApplyBatch(context.Background(), []Event{{Kind: EventLeave, Node: node}})
+	if err != nil {
+		return RepairReport{}, err
+	}
+	return reps[0], nil
 }

@@ -87,32 +87,30 @@ func (s *Selection) NumPairs() int {
 
 // Select runs the given rule.
 func Select(g *graph.Graph, c *cluster.Clustering, rule Rule) *Selection {
-	sel, err := SelectCtx(context.Background(), g, c, rule, nil)
+	sel, err := SelectPar(context.Background(), g, nil, c, rule, nil, nil)
 	if err != nil {
 		panic(err.Error()) // Background context cannot be cancelled
 	}
 	return sel
 }
 
-// SelectCtx runs the given rule, honoring cancellation between per-head
-// neighborhood walks and reusing s's BFS buffers (nil is valid).
-func SelectCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, rule Rule, s *graph.Scratch) (*Selection, error) {
-	return SelectPar(ctx, g, nil, c, rule, s, nil)
-}
-
-// SelectPar is SelectCtx with the per-head neighborhood walks (NC) or
-// the edge scan (A-NCR) sharded across pool's workers; the selection is
-// identical to a serial run for any worker count. A nil pool (or one
-// worker) is the serial path. A non-nil fg (the CSR snapshot of g)
-// switches NC to multi-source batched BFS — one frontier sweep per
-// 64-head block instead of one ball walk per head — and A-NCR's edge
-// scan to the flat arrays; both produce the identical selection.
+// SelectPar runs the given rule, honoring cancellation between
+// neighborhood sweeps and reusing s's BFS buffers (nil is valid). The
+// per-head neighborhood walks (NC) or the edge scan (A-NCR) shard across
+// pool's workers; the selection is identical to a serial run for any
+// worker count, and a nil pool (or one worker) is the serial path. NC
+// runs as multi-source batched BFS on fg, the CSR snapshot of g — one
+// frontier sweep per 64-head block; a nil fg makes SelectPar flatten g
+// itself.
 func SelectPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, rule Rule, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
 	switch rule {
 	case RuleNC:
-		return ncCtx(ctx, g, fg, c, s, pool)
+		if fg == nil {
+			fg = graph.Flatten(g)
+		}
+		return ncCtx(ctx, fg, c, s, pool)
 	case RuleANCR:
-		return ancrCtx(ctx, g, fg, c, pool)
+		return ancrCtx(ctx, g, c, pool)
 	case RuleWuLou:
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -126,110 +124,65 @@ func SelectPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *clus
 // NC selects, for every clusterhead, all other clusterheads within
 // 2k+1 hops in G. This is the baseline every prior scheme uses and is a
 // supergraph of the A-NCR selection.
-func NC(g *graph.Graph, c *cluster.Clustering) *Selection {
-	sel, _ := ncCtx(context.Background(), g, nil, c, nil, nil)
-	return sel
-}
+func NC(g *graph.Graph, c *cluster.Clustering) *Selection { return Select(g, c, RuleNC) }
 
-func ncCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
+// ncCtx collects, for every head, the heads it reaches within 2k+1 hops:
+// one MS-BFS sweep per 64-head block. Blocks are cut from the heads in
+// graph-locality order, not ID order — heads near each other share
+// almost all of a sweep's expansions, which is where the batching win
+// comes from. Each head's set is sorted afterwards, so the per-head
+// result is independent of batching, ordering, and sharding.
+func ncCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
 	radius := 2*c.K + 1
-	sel := &Selection{Rule: RuleNC, K: c.K, Neighbors: make(map[int][]int, len(c.Heads))}
-	// Batched: one MS-BFS sweep per 64-head block collects, for every
-	// head in the block, the heads it reaches within the radius. Blocks
-	// are cut from the heads in graph-locality order, not ID order —
-	// heads near each other share almost all of a sweep's expansions,
-	// which is where the batching win comes from. Each head's set is
-	// sorted afterwards, exactly like the scalar walk's, so the per-head
-	// result is independent of batching, ordering, and sharding.
-	var perm []int
-	if fg != nil {
-		perm = fg.BlockOrder(c.Heads, radius)
-	}
-	ncBatch := func(ms *graph.MSScratch, idxs []int, block []int, nbsOf [][]int) {
-		fg.MSBFS(ms, block, radius, func(v, _ int, mask uint64) bool {
-			if !c.IsHead(v) {
-				return true
-			}
-			graph.EachBit(mask, func(i int) {
-				if block[i] != v {
-					nbsOf[idxs[i]] = append(nbsOf[idxs[i]], v)
-				}
-			})
-			return true
-		})
-		for _, pi := range idxs {
-			sort.Ints(nbsOf[pi])
-		}
-	}
-	ncRange := func(bs *graph.Scratch, lo, hi int, nbsOf [][]int) error {
+	perm := fg.BlockOrder(c.Heads, radius)
+	nbsOf := make([][]int, len(c.Heads))
+	ncRange := func(bs *graph.Scratch, lo, hi int) error {
 		var block [64]int
 		for base := lo; base < hi; base += 64 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			end := min(base+64, hi)
-			idxs := perm[base:end]
+			idxs := perm[base:min(base+64, hi)]
 			for i, pi := range idxs {
 				block[i] = c.Heads[pi]
 			}
-			ncBatch(bs.MS(), idxs, block[:len(idxs)], nbsOf)
+			fg.MSBFS(bs.MS(), block[:len(idxs)], radius, func(v, _ int, mask uint64) bool {
+				if !c.IsHead(v) {
+					return true
+				}
+				graph.EachBit(mask, func(i int) {
+					if block[i] != v {
+						nbsOf[idxs[i]] = append(nbsOf[idxs[i]], v)
+					}
+				})
+				return true
+			})
+			for _, pi := range idxs {
+				sort.Ints(nbsOf[pi])
+			}
 		}
 		return nil
 	}
-	ncHead := func(bs *graph.Scratch, h int) []int {
-		var nbs []int
-		g.EachWithin(bs, h, radius, func(v, _ int) bool {
-			if v != h && c.IsHead(v) {
-				nbs = append(nbs, v)
-			}
-			return true
-		})
-		sort.Ints(nbs)
-		return nbs
-	}
 	if pool.Workers() > 1 {
-		// Each head's 2k+1-hop walk is independent and read-only; shard
-		// the head list, each shard writing its own slots of nbsOf.
-		nbsOf := make([][]int, len(c.Heads))
+		// Each head block's sweep is independent and read-only; shard the
+		// head list, each shard writing its own slots of nbsOf.
 		err := pool.Shard(ctx, len(c.Heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			if fg != nil {
-				return ncRange(bs, r.Start, r.End, nbsOf)
-			}
-			for i := r.Start; i < r.End; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				nbsOf[i] = ncHead(bs, c.Heads[i])
-			}
-			return nil
+			return ncRange(bs, r.Start, r.End)
 		})
 		if err != nil {
 			return nil, err
 		}
-		for i, h := range c.Heads {
-			sel.Neighbors[h] = nbsOf[i]
+	} else {
+		if s == nil {
+			s = graph.NewScratch()
 		}
-		return sel, nil
-	}
-	if fg != nil {
-		bs := s
-		if bs == nil {
-			bs = graph.NewScratch()
-		}
-		nbsOf := make([][]int, len(c.Heads))
-		if err := ncRange(bs, 0, len(c.Heads), nbsOf); err != nil {
+		if err := ncRange(s, 0, len(c.Heads)); err != nil {
 			return nil, err
 		}
-		for i, h := range c.Heads {
-			sel.Neighbors[h] = nbsOf[i]
-		}
-		return sel, nil
 	}
-	for _, h := range c.Heads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sel.Neighbors[h] = ncHead(s, h)
+	sel := &Selection{Rule: RuleNC, K: c.K, Neighbors: make(map[int][]int, len(c.Heads))}
+	for i, h := range c.Heads {
+		sel.Neighbors[h] = nbsOf[i]
 	}
 	return sel, nil
 }
@@ -241,11 +194,11 @@ func ncCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.
 // distributed rule works too — border members detect foreign neighbors
 // and report the foreign head to their own head.
 func ANCR(g *graph.Graph, c *cluster.Clustering) *Selection {
-	sel, _ := ancrCtx(context.Background(), g, nil, c, nil)
+	sel, _ := ancrCtx(context.Background(), g, c, nil)
 	return sel
 }
 
-func ancrCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, pool *partition.Pool) (*Selection, error) {
+func ancrCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, pool *partition.Pool) (*Selection, error) {
 	sel := &Selection{Rule: RuleANCR, K: c.K, Neighbors: make(map[int][]int, len(c.Heads))}
 	scanRange := func(adj map[[2]int]bool, lo, hi int) error {
 		record := func(u, v int) {
@@ -265,12 +218,6 @@ func ancrCtx(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluste
 		for u := lo; u < hi; u++ {
 			if err := ctx.Err(); err != nil {
 				return err
-			}
-			if fg != nil {
-				for _, v := range fg.Neighbors(u) {
-					record(u, int(v))
-				}
-				continue
 			}
 			for _, v := range g.Neighbors(u) {
 				record(u, v)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/fleet"
 	"repro/internal/telemetry"
 )
@@ -82,7 +83,7 @@ func benchFleetPair(b *testing.B) (owner, other *httptest.Server) {
 func benchFleetCreate(b *testing.B, ts *httptest.Server) int {
 	b.Helper()
 	const n = 300
-	body, _ := json.Marshal(CreateRequest{ID: "bench", N: n, AvgDegree: 6, Seed: 1, K: 2, Algorithm: "AC-LMST"})
+	body, _ := json.Marshal(api.CreateRequest{ID: "bench", N: n, AvgDegree: 6, Seed: 1, K: 2, Algorithm: "AC-LMST"})
 	resp, err := ts.Client().Post(ts.URL+"/v1/deployments", "application/json", bytes.NewReader(body))
 	if err != nil {
 		b.Fatal(err)

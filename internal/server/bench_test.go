@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
@@ -52,7 +53,7 @@ func benchMixedLoad(b *testing.B, cfg Config) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	create := CreateRequest{ID: "bench", N: n, AvgDegree: 6, Seed: 1, K: 2, Algorithm: "AC-LMST"}
+	create := api.CreateRequest{ID: "bench", N: n, AvgDegree: 6, Seed: 1, K: 2, Algorithm: "AC-LMST"}
 	body, _ := json.Marshal(create)
 	resp, err := ts.Client().Post(ts.URL+"/v1/deployments", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -77,12 +78,12 @@ func benchMixedLoad(b *testing.B, cfg Config) {
 				return
 			default:
 			}
-			events := make([]EventRequest, 0, 2*batchSize)
+			events := make([]api.EventRequest, 0, 2*batchSize)
 			base := n - batchSize // churn the top batchSize nodes
 			for i := 0; i < batchSize; i++ {
 				events = append(events,
-					EventRequest{Kind: "leave", Node: base + i},
-					EventRequest{Kind: "join", Node: base + i, Neighbors: []int{i, i + 1}},
+					api.EventRequest{Kind: "leave", Node: base + i},
+					api.EventRequest{Kind: "join", Node: base + i, Neighbors: []int{i, i + 1}},
 				)
 			}
 			raw, _ := json.Marshal(map[string]any{"events": events})

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/api"
 	"repro/internal/telemetry"
 )
 
@@ -170,7 +171,7 @@ func newDepMetrics() *depMetrics {
 
 // observeStructure refreshes the structure gauges from a summary.
 // Called after the deployment lock is released.
-func (m *depMetrics) observeStructure(sum Summary) {
+func (m *depMetrics) observeStructure(sum api.Summary) {
 	m.nodes.Set(int64(sum.N))
 	m.heads.Set(int64(sum.Heads))
 	m.gateways.Set(int64(sum.Gateways))

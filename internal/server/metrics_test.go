@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	khop "repro"
+	"repro/api"
 	"repro/internal/codec"
 	"repro/internal/telemetry"
 )
@@ -51,7 +52,7 @@ func TestMetricsEndpoints(t *testing.T) {
 		do(t, ts, "GET", fmt.Sprintf("/v1/deployments/prod/broadcast?src=%d", i), nil, 200, nil)
 	}
 	do(t, ts, "GET", "/v1/deployments/prod/route?src=0&dst=99999", nil, 400, nil)
-	do(t, ts, "POST", "/v1/deployments/prod/events", map[string]any{"events": []EventRequest{
+	do(t, ts, "POST", "/v1/deployments/prod/events", map[string]any{"events": []api.EventRequest{
 		{Kind: "leave", Node: 3}, {Kind: "leave", Node: 9},
 	}}, 200, nil)
 	if raw := fetchBytes(t, ts, "/v1/deployments/prod/snapshot"); len(raw) == 0 {
@@ -156,8 +157,8 @@ func TestMetricsScrapeUnderConcurrentLoad(t *testing.T) {
 			}
 			node := n - 1 - cycle%2
 			body, _ := marshalEvents(
-				EventRequest{Kind: "leave", Node: node},
-				EventRequest{Kind: "join", Node: node, Neighbors: []int{1, 2}},
+				api.EventRequest{Kind: "leave", Node: node},
+				api.EventRequest{Kind: "join", Node: node, Neighbors: []int{1, 2}},
 			)
 			resp, err := ts.Client().Post(ts.URL+"/v1/deployments/prod/events", "application/json", bytes.NewReader(body))
 			if err == nil {
@@ -192,7 +193,7 @@ func TestMetricsScrapeUnderConcurrentLoad(t *testing.T) {
 	wg.Wait()
 }
 
-func marshalEvents(evs ...EventRequest) ([]byte, error) {
+func marshalEvents(evs ...api.EventRequest) ([]byte, error) {
 	return json.Marshal(map[string]any{"events": evs})
 }
 
@@ -226,7 +227,7 @@ func TestSummaryReportsCost(t *testing.T) {
 
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
-	var sum Summary
+	var sum api.Summary
 	do(t, ts, "POST", "/v1/deployments/dist/snapshot", buf.Bytes(), 201, &sum)
 	if sum.Cost == nil {
 		t.Fatal("restored distributed deployment summary has no cost")
@@ -238,7 +239,7 @@ func TestSummaryReportsCost(t *testing.T) {
 	}
 
 	// A Centralized deployment keeps the field absent, not zeroed.
-	var central Summary
+	var central api.Summary
 	do(t, ts, "POST", "/v1/deployments", createBody, 201, &central)
 	if central.Cost != nil {
 		t.Fatalf("centralized deployment reports cost %+v", central.Cost)
@@ -250,11 +251,11 @@ func TestHealthzReport(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
 	do(t, ts, "POST", "/v1/deployments", createBody, 201, nil)
-	do(t, ts, "POST", "/v1/deployments/prod/events", map[string]any{"events": []EventRequest{
+	do(t, ts, "POST", "/v1/deployments/prod/events", map[string]any{"events": []api.EventRequest{
 		{Kind: "leave", Node: 2},
 	}}, 200, nil)
 
-	var h Health
+	var h api.Health
 	do(t, ts, "GET", "/v1/healthz", nil, 200, &h)
 	if h.Status != "ok" || h.Version != Version {
 		t.Fatalf("health header: %+v", h)

@@ -242,28 +242,9 @@ func (d *deployment) refresh() {
 	d.plan, d.appErr.plan = khop.NewBroadcastPlan(cur, d.res)
 }
 
-// The wire shapes are shared with the typed client via repro/api; the
-// aliases keep this package's call sites short.
-type (
-	// Summary is the JSON shape describing one deployment.
-	Summary = api.Summary
-	// CostSummary mirrors khop.Cost for the wire.
-	CostSummary = api.CostSummary
-	// CreateRequest is the body of POST /v1/deployments.
-	CreateRequest = api.CreateRequest
-	// EventRequest is one churn event in a POST .../events batch.
-	EventRequest = api.EventRequest
-	// ReportResponse mirrors khop.RepairReport for the wire.
-	ReportResponse = api.ReportResponse
-	// Health is the GET /v1/healthz response.
-	Health = api.Health
-	// HealthDeployment is one deployment's slice of the health report.
-	HealthDeployment = api.HealthDeployment
-)
-
 // summaryLocked builds the Summary; callers hold d.mu (either mode).
-func (d *deployment) summaryLocked() Summary {
-	sum := Summary{
+func (d *deployment) summaryLocked() api.Summary {
+	sum := api.Summary{
 		ID:               d.id,
 		N:                len(d.res.HeadOf),
 		K:                d.res.K,
@@ -278,7 +259,7 @@ func (d *deployment) summaryLocked() Summary {
 		sum.OrigN = len(d.orig)
 	}
 	if c := d.res.Cost; c != nil {
-		sum.Cost = &CostSummary{
+		sum.Cost = &api.CostSummary{
 			Rounds:        c.Rounds,
 			Transmissions: c.Transmissions,
 			Deliveries:    c.Deliveries,
@@ -330,16 +311,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Slice(deps, func(i, j int) bool { return deps[i].id < deps[j].id })
-	h := Health{
+	h := api.Health{
 		Status:        "ok",
 		Version:       Version,
 		UptimeSeconds: time.Since(s.tel.start).Seconds(),
 		Deployments:   len(deps),
-		Stats:         make(map[string]HealthDeployment, len(deps)),
+		Stats:         make(map[string]api.HealthDeployment, len(deps)),
 	}
 	for _, d := range deps {
 		d.mu.RLock()
-		h.Stats[d.id] = HealthDeployment{
+		h.Stats[d.id] = api.HealthDeployment{
 			Nodes:         len(d.res.HeadOf),
 			Heads:         len(d.res.Heads),
 			EventsApplied: d.events,
@@ -400,7 +381,7 @@ func (s *Server) unregister(id string) {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
+	var req api.CreateRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -516,7 +497,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Slice(deps, func(i, j int) bool { return deps[i].id < deps[j].id })
-	out := make([]Summary, len(deps))
+	out := make([]api.Summary, len(deps))
 	for i, d := range deps {
 		d.mu.RLock()
 		out[i] = d.summaryLocked()
@@ -650,9 +631,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, d *deploym
 			degraded = true
 		}
 	}
-	out := make([]ReportResponse, len(reports))
+	out := make([]api.ReportResponse, len(reports))
 	for i, rep := range reports {
-		out[i] = ReportResponse{
+		out[i] = api.ReportResponse{
 			Kind:              rep.Kind.String(),
 			Node:              rep.Node,
 			Role:              rep.Role.String(),

@@ -82,7 +82,7 @@ func fetchBytes(t *testing.T, ts *httptest.Server, path string) []byte {
 	return raw
 }
 
-var createBody = CreateRequest{
+var createBody = api.CreateRequest{
 	ID: "prod", N: 80, AvgDegree: 6, Seed: 7, K: 2, Algorithm: "AC-LMST",
 }
 
@@ -538,19 +538,19 @@ func TestAPIErrors(t *testing.T) {
 		status             int
 	}{
 		{"duplicate id", "POST", "/v1/deployments", createBody, http.StatusConflict},
-		{"bad id", "POST", "/v1/deployments", CreateRequest{ID: "../evil", N: 10}, http.StatusBadRequest},
-		{"zero n", "POST", "/v1/deployments", CreateRequest{ID: "x", N: 0}, http.StatusBadRequest},
-		{"bad algorithm", "POST", "/v1/deployments", CreateRequest{ID: "x", N: 10, Algorithm: "Steiner"}, http.StatusBadRequest},
-		{"bad edge", "POST", "/v1/deployments", CreateRequest{ID: "x", N: 4, Edges: [][2]int{{0, 9}}}, http.StatusBadRequest},
+		{"bad id", "POST", "/v1/deployments", api.CreateRequest{ID: "../evil", N: 10}, http.StatusBadRequest},
+		{"zero n", "POST", "/v1/deployments", api.CreateRequest{ID: "x", N: 0}, http.StatusBadRequest},
+		{"bad algorithm", "POST", "/v1/deployments", api.CreateRequest{ID: "x", N: 10, Algorithm: "Steiner"}, http.StatusBadRequest},
+		{"bad edge", "POST", "/v1/deployments", api.CreateRequest{ID: "x", N: 4, Edges: [][2]int{{0, 9}}}, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/deployments", map[string]any{"id": "x", "n": 10, "nodes": 10}, http.StatusBadRequest},
 		{"unknown deployment", "GET", "/v1/deployments/ghost/cds", nil, http.StatusNotFound},
 		{"delete unknown", "DELETE", "/v1/deployments/ghost", nil, http.StatusNotFound},
 		{"compact unknown", "POST", "/v1/deployments/ghost/compact", nil, http.StatusNotFound},
-		{"empty batch", "POST", "/v1/deployments/prod/events", map[string]any{"events": []EventRequest{}}, http.StatusBadRequest},
+		{"empty batch", "POST", "/v1/deployments/prod/events", map[string]any{"events": []api.EventRequest{}}, http.StatusBadRequest},
 		{"unknown kind", "POST", "/v1/deployments/prod/events",
-			map[string]any{"events": []EventRequest{{Kind: "explode", Node: 1}}}, http.StatusBadRequest},
+			map[string]any{"events": []api.EventRequest{{Kind: "explode", Node: 1}}}, http.StatusBadRequest},
 		{"event out of range", "POST", "/v1/deployments/prod/events",
-			map[string]any{"events": []EventRequest{{Kind: "leave", Node: 9999}}}, http.StatusUnprocessableEntity},
+			map[string]any{"events": []api.EventRequest{{Kind: "leave", Node: 9999}}}, http.StatusUnprocessableEntity},
 		{"route missing params", "GET", "/v1/deployments/prod/route", nil, http.StatusBadRequest},
 		{"route bad node", "GET", "/v1/deployments/prod/route?src=0&dst=12345", nil, http.StatusBadRequest},
 		{"broadcast bad src", "GET", "/v1/deployments/prod/broadcast?src=-2", nil, http.StatusBadRequest},

@@ -1,7 +1,6 @@
 package khop
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -93,7 +92,7 @@ const (
 type Priority = cluster.Priority
 
 // LowestIDPriority is the classical lowest-ID election priority (the
-// default when Options.Priority is nil).
+// default when no WithPriority option is given).
 func LowestIDPriority() Priority { return cluster.LowestID{} }
 
 // HighestDegreePriority prefers nodes with more neighbors.
@@ -102,34 +101,6 @@ func HighestDegreePriority(g *Graph) Priority { return cluster.NewHighestDegree(
 // HighestEnergyPriority prefers nodes with more residual energy (one
 // entry per node), the power-aware rotation policy of §3.3.
 func HighestEnergyPriority(energy []float64) Priority { return cluster.NewHighestEnergy(energy) }
-
-// Options configures the deprecated Build and BuildDistributed wrappers.
-//
-// Deprecated: pass functional options (WithK, WithAlgorithm, …) to
-// NewEngine instead.
-type Options struct {
-	// K is the cluster radius in hops (≥ 1). Every member is within K
-	// hops of its clusterhead.
-	K int
-	// Algorithm is the pipeline to run; default ACLMST.
-	Algorithm Algorithm
-	// Affiliation is the member-affiliation rule; default AffiliationID.
-	Affiliation Affiliation
-	// Priority is the election priority; nil means lowest ID.
-	Priority Priority
-}
-
-// engineOptions translates the legacy struct into Engine options.
-func (o Options) engineOptions(mode Mode) []Option {
-	opts := []Option{WithK(o.K), WithAlgorithm(o.Algorithm), WithMode(mode)}
-	if o.Affiliation != AffiliationID {
-		opts = append(opts, WithAffiliation(o.Affiliation))
-	}
-	if o.Priority != nil {
-		opts = append(opts, WithPriority(o.Priority))
-	}
-	return opts
-}
 
 // Result is a built connected k-hop clustering.
 type Result struct {
@@ -166,44 +137,6 @@ type Result struct {
 	Cost *Cost
 }
 
-// Build runs the centralized pipeline: k-hop clustering, neighbor
-// clusterhead selection, and gateway selection. The input graph should be
-// connected; on a disconnected graph each component is clustered but
-// cross-component connectivity is (necessarily) not established.
-//
-// Deprecated: use NewEngine and Engine.Build, which add cancellation,
-// per-build option overrides, buffer reuse across repeated builds, and
-// incremental maintenance. Build constructs a throwaway Engine per call
-// and produces identical results.
-func Build(g *Graph, opt Options) (*Result, error) {
-	e, err := NewEngine(g, opt.engineOptions(Centralized)...)
-	if err != nil {
-		return nil, err
-	}
-	return e.Build(context.Background())
-}
-
-// BuildDistributed runs the same pipeline as a distributed
-// message-passing protocol (one goroutine per node, bounded flooding; see
-// internal/proto). It supports the four localized algorithms; GMST is
-// centralized by definition. Affiliation must be AffiliationID or
-// AffiliationDistance. The result is identical to Build's; Cost reports
-// the protocol's message complexity.
-//
-// Deprecated: use NewEngine with WithMode(Distributed); the returned
-// Result carries the protocol cost in Result.Cost.
-func BuildDistributed(g *Graph, opt Options) (*Result, *Cost, error) {
-	e, err := NewEngine(g, opt.engineOptions(Distributed)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := e.Build(context.Background())
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.Cost, nil
-}
-
 // Cost is the message complexity of a distributed build.
 type Cost struct {
 	Rounds        int
@@ -230,10 +163,10 @@ type PhaseCost struct {
 // checks and churn awareness).
 func (r *Result) Verify(g *Graph) error { return VerifyResult(g, r) }
 
-func assemble(c *cluster.Clustering, sel *ncr.Selection, res *gateway.Result, opt Options) *Result {
+func assemble(c *cluster.Clustering, sel *ncr.Selection, res *gateway.Result, k int, algo Algorithm) *Result {
 	return &Result{
-		K:                opt.K,
-		Algorithm:        opt.Algorithm,
+		K:                k,
+		Algorithm:        algo,
 		Heads:            c.Heads,
 		HeadOf:           c.Head,
 		DistToHead:       c.DistToHead,
@@ -243,23 +176,6 @@ func assemble(c *cluster.Clustering, sel *ncr.Selection, res *gateway.Result, op
 		GatewayPaths:     res.Paths,
 		IndependentHeads: true,
 	}
-}
-
-// BuildMaxMin builds a connected clustering using Max-Min d-cluster
-// formation (Amis et al., the paper's reference [2]) instead of the
-// iterative lowest-ID election, then runs the same neighbor-selection
-// and gateway pipeline on top. Max-Min completes in exactly 2d
-// synchronized rounds and keeps every node within d hops of its head,
-// but its heads are not d-hop independent (Result.IndependentHeads is
-// false; Verify skips that check).
-//
-// Deprecated: use NewEngine with WithMode(MaxMin) and WithK(d).
-func BuildMaxMin(g *Graph, d int, algo Algorithm) (*Result, error) {
-	e, err := NewEngine(g, WithK(d), WithAlgorithm(algo), WithMode(MaxMin))
-	if err != nil {
-		return nil, err
-	}
-	return e.Build(context.Background())
 }
 
 // NetworkConfig configures RandomNetwork.

@@ -1,6 +1,7 @@
 package khop
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -15,6 +16,26 @@ func testNetwork(t testing.TB, n int, deg float64, seed int64) *Network {
 		t.Fatal(err)
 	}
 	return net
+}
+
+// mustBuild builds g once through a fresh Engine with the given options,
+// failing the test on any error.
+func mustBuild(t testing.TB, g *Graph, opts ...Option) *Result {
+	t.Helper()
+	res, err := buildOnce(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// buildOnce builds g once through a fresh Engine with the given options.
+func buildOnce(g *Graph, opts ...Option) (*Result, error) {
+	e, err := NewEngine(g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return e.Build(context.Background())
 }
 
 func TestGraphBasics(t *testing.T) {
@@ -105,10 +126,7 @@ func TestBuildAllAlgorithmsVerify(t *testing.T) {
 	g := net.Graph()
 	for _, algo := range []Algorithm{NCMesh, ACMesh, NCLMST, ACLMST, GMST} {
 		for _, k := range []int{1, 2, 3} {
-			res, err := Build(g, Options{K: k, Algorithm: algo})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustBuild(t, g, WithK(k), WithAlgorithm(algo))
 			if err := res.Verify(g); err != nil {
 				t.Fatalf("%v k=%d: %v", algo, k, err)
 			}
@@ -121,25 +139,22 @@ func TestBuildAllAlgorithmsVerify(t *testing.T) {
 
 func TestBuildRejectsBadK(t *testing.T) {
 	g := NewGraph(3)
-	if _, err := Build(g, Options{K: 0}); err == nil {
+	if _, err := buildOnce(g, WithK(0)); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, _, err := BuildDistributed(g, Options{K: -1}); err == nil {
-		t.Fatal("K=-1 accepted by BuildDistributed")
+	if _, err := buildOnce(g, WithK(-1), WithMode(Distributed)); err == nil {
+		t.Fatal("K=-1 accepted by a distributed build")
 	}
 }
 
 func TestBuildDistributedMatchesBuild(t *testing.T) {
 	net := testNetwork(t, 70, 6, 9)
 	g := net.Graph()
-	opt := Options{K: 2, Algorithm: ACLMST}
-	want, err := Build(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, cost, err := BuildDistributed(g, opt)
-	if err != nil {
-		t.Fatal(err)
+	want := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST))
+	got := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST), WithMode(Distributed))
+	cost := got.Cost
+	if want.Cost != nil {
+		t.Fatalf("centralized build reports a protocol cost: %+v", want.Cost)
 	}
 	if !reflect.DeepEqual(got.Heads, want.Heads) ||
 		!reflect.DeepEqual(got.HeadOf, want.HeadOf) ||
@@ -161,8 +176,8 @@ func TestBuildDistributedMatchesBuild(t *testing.T) {
 
 func TestBuildDistributedRejectsGMST(t *testing.T) {
 	net := testNetwork(t, 30, 6, 2)
-	if _, _, err := BuildDistributed(net.Graph(), Options{K: 1, Algorithm: GMST}); err == nil {
-		t.Fatal("G-MST accepted by BuildDistributed")
+	if _, err := buildOnce(net.Graph(), WithK(1), WithAlgorithm(GMST), WithMode(Distributed)); err == nil {
+		t.Fatal("G-MST accepted by a distributed build")
 	}
 }
 
@@ -170,10 +185,7 @@ func TestBuildAffiliationAndPriorityOptions(t *testing.T) {
 	net := testNetwork(t, 80, 7, 11)
 	g := net.Graph()
 	for _, aff := range []Affiliation{AffiliationID, AffiliationDistance, AffiliationSize} {
-		res, err := Build(g, Options{K: 2, Algorithm: ACLMST, Affiliation: aff})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST), WithAffiliation(aff))
 		if err := res.Verify(g); err != nil {
 			t.Fatalf("affiliation %v: %v", aff, err)
 		}
@@ -183,10 +195,7 @@ func TestBuildAffiliationAndPriorityOptions(t *testing.T) {
 		energy[i] = float64(g.N() - i)
 	}
 	for _, prio := range []Priority{LowestIDPriority(), HighestDegreePriority(g), HighestEnergyPriority(energy)} {
-		res, err := Build(g, Options{K: 2, Algorithm: ACLMST, Priority: prio})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST), WithPriority(prio))
 		if err := res.Verify(g); err != nil {
 			t.Fatalf("priority %T: %v", prio, err)
 		}
@@ -196,10 +205,7 @@ func TestBuildAffiliationAndPriorityOptions(t *testing.T) {
 func TestVerifyCatchesCorruption(t *testing.T) {
 	net := testNetwork(t, 60, 6, 13)
 	g := net.Graph()
-	res, err := Build(g, Options{K: 2, Algorithm: ACLMST})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST))
 	// Remove a gateway from the CDS: head connectivity should break on
 	// most instances; corrupt membership instead, which always fails.
 	bad := *res
@@ -215,10 +221,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 func TestGatewayPathsExposed(t *testing.T) {
 	net := testNetwork(t, 80, 6, 15)
 	g := net.Graph()
-	res, err := Build(g, Options{K: 2, Algorithm: ACLMST})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST))
 	if len(res.GatewayPaths) == 0 {
 		t.Fatal("no gateway paths on a multi-cluster network")
 	}
@@ -229,26 +232,35 @@ func TestGatewayPathsExposed(t *testing.T) {
 	}
 }
 
+// TestMaintainerFacade: a departure maintained through Engine.Apply
+// updates liveness and reports the departed node; a second departure
+// of the same node is rejected.
 func TestMaintainerFacade(t *testing.T) {
 	net := testNetwork(t, 80, 7, 17)
-	m := NewMaintainer(net.Graph(), 2, ACLMST)
-	if len(m.Heads()) == 0 || m.CDSSize() == 0 {
-		t.Fatal("empty initial structure")
-	}
-	if !m.Alive(0) {
-		t.Fatal("node 0 not alive")
-	}
-	rep, err := m.Depart(0)
+	e, err := NewEngine(net.Graph(), WithK(2), WithAlgorithm(ACLMST))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Alive(0) {
+	if _, err := e.Build(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Result().Heads) == 0 || len(e.Result().CDS) == 0 {
+		t.Fatal("empty initial structure")
+	}
+	if !e.Alive(0) {
+		t.Fatal("node 0 not alive")
+	}
+	reps, err := e.Apply(context.Background(), Leave(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Alive(0) {
 		t.Fatal("node 0 alive after departure")
 	}
-	if rep.Node != 0 {
-		t.Fatalf("report %+v", rep)
+	if len(reps) != 1 || reps[0].Node != 0 || reps[0].Kind != EventLeave {
+		t.Fatalf("reports %+v", reps)
 	}
-	if _, err := m.Depart(0); err == nil {
+	if _, err := e.Apply(context.Background(), Leave(0)); err == nil {
 		t.Fatal("double departure accepted")
 	}
 }
@@ -263,7 +275,7 @@ func TestBuildQuickInvariants(t *testing.T) {
 		if err != nil {
 			return true // sparse instance failed to connect; skip
 		}
-		res, err := Build(net.Graph(), Options{K: k, Algorithm: algo})
+		res, err := buildOnce(net.Graph(), WithK(k), WithAlgorithm(algo))
 		if err != nil {
 			return false
 		}
@@ -276,10 +288,7 @@ func TestBuildQuickInvariants(t *testing.T) {
 
 func TestHeadsSortedAndUnique(t *testing.T) {
 	net := testNetwork(t, 90, 6, 19)
-	res, err := Build(net.Graph(), Options{K: 2, Algorithm: ACLMST})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, net.Graph(), WithK(2), WithAlgorithm(ACLMST))
 	for i := 1; i < len(res.Heads); i++ {
 		if res.Heads[i] <= res.Heads[i-1] {
 			t.Fatalf("Heads not sorted/unique: %v", res.Heads)
@@ -319,10 +328,7 @@ func TestBuildHierarchyFacade(t *testing.T) {
 func TestBuildMaxMin(t *testing.T) {
 	net := testNetwork(t, 90, 7, 61)
 	g := net.Graph()
-	res, err := BuildMaxMin(g, 2, ACLMST)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST), WithMode(MaxMin))
 	if res.IndependentHeads {
 		t.Fatal("Max-Min result claims independence")
 	}
@@ -331,14 +337,11 @@ func TestBuildMaxMin(t *testing.T) {
 	if err := res.Verify(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildMaxMin(g, 0, ACLMST); err == nil {
+	if _, err := buildOnce(g, WithK(0), WithAlgorithm(ACLMST), WithMode(MaxMin)); err == nil {
 		t.Fatal("d=0 accepted")
 	}
 	// The paper's clustering on the same instance claims independence.
-	lo, err := Build(g, Options{K: 2, Algorithm: ACLMST})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lo := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST))
 	if !lo.IndependentHeads {
 		t.Fatal("lowest-ID result lost its independence flag")
 	}

@@ -1,11 +1,6 @@
 package khop
 
-import (
-	"context"
-
-	"repro/internal/gateway"
-	"repro/internal/mobility"
-)
+import "repro/internal/mobility"
 
 // Role classifies a departing node per the paper's §3.3 maintenance
 // discussion.
@@ -31,61 +26,3 @@ const (
 // RepairReport quantifies the repair triggered by one churn event,
 // including the batch's gateway-coalescing stats.
 type RepairReport = mobility.RepairReport
-
-// Maintainer keeps a connected k-hop clustering repaired as nodes leave
-// the network (switch off or move away), implementing §3.3: member
-// departures are free, gateway departures re-run gateway selection for
-// the affected heads, and clusterhead departures re-cluster the orphaned
-// members before re-running gateway selection.
-//
-// Deprecated: use NewEngine, Engine.Build, and Engine.Apply(ctx,
-// Leave(v)), which fold maintenance into the same type that builds and
-// extend to further event kinds.
-type Maintainer struct {
-	e *Engine
-}
-
-// NewMaintainer builds the initial structure over a private copy of g.
-//
-// Deprecated: use NewEngine followed by Engine.Build; Engine.Apply then
-// maintains the structure incrementally.
-func NewMaintainer(g *Graph, k int, algo Algorithm) *Maintainer {
-	e, err := NewEngine(g, WithK(k), WithAlgorithm(algo))
-	if err == nil {
-		_, err = e.Build(context.Background())
-	}
-	if err != nil {
-		panic(err.Error()) // matches the legacy constructor, which could not fail gracefully
-	}
-	return &Maintainer{e: e}
-}
-
-// Depart removes node from the network, repairs the clustering and
-// gateway structure, and reports the repair scope.
-//
-// Deprecated: use batched Engine.Apply(ctx, Leave(node), ...), which
-// coalesces the gateway repairs of many events into one selection re-run
-// and extends to Join and Move.
-func (m *Maintainer) Depart(node int) (RepairReport, error) {
-	reps, err := m.e.Apply(context.Background(), Leave(node))
-	if err != nil {
-		return RepairReport{}, err
-	}
-	return reps[0], nil
-}
-
-// Alive reports whether node is still in the network.
-func (m *Maintainer) Alive(node int) bool { return m.e.Alive(node) }
-
-// Heads returns the current clusterheads, ascending.
-func (m *Maintainer) Heads() []int { return m.e.Result().Heads }
-
-// Gateways returns the current gateway nodes, ascending.
-func (m *Maintainer) Gateways() []int { return m.e.Result().Gateways }
-
-// CDSSize returns the current |heads ∪ gateways|.
-func (m *Maintainer) CDSSize() int { return len(m.e.Result().CDS) }
-
-// compile-time check that the facade algorithm constants stay in sync
-// with the internal ones used by the maintainer.
-var _ = []gateway.Algorithm{NCMesh, ACMesh, NCLMST, ACLMST, GMST}

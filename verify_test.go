@@ -56,13 +56,12 @@ func TestVerifyResultPropertySweep(t *testing.T) {
 }
 
 // TestParallelBuildMatchesSerial is the tentpole differential: across a
-// seed sweep, every mode, algorithm, and k, a WithParallel build and a
-// WithBatchedBFS(false) scalar build must both produce a Result bitwise
-// identical to the default (batched, serial) build — not close,
+// seed sweep, every mode, algorithm, and k, a WithParallel build must
+// produce a Result bitwise identical to the serial build — not close,
 // identical (reflect.DeepEqual over the whole Result, GatewayPaths and
-// all). The scalar leg pins the CSR + multi-source-BFS fast path to the
-// per-source walks it replaced; the worker legs pin the sharded phases,
-// which CI additionally runs under -race.
+// all). The worker legs pin the sharded phases, which CI additionally
+// runs under -race; each package's scalar oracle tests pin the batched
+// traversals to the per-source walks they replaced.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	type cfg struct {
@@ -85,10 +84,10 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		g := net.Graph()
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("seed=%d/%v/%v/k=%d", seed, tc.mode, tc.algo, tc.k), func(t *testing.T) {
-				build := func(workers int, batched bool) *Result {
+				build := func(workers int) *Result {
 					t.Helper()
 					e, err := NewEngine(g, WithK(tc.k), WithAlgorithm(tc.algo),
-						WithMode(tc.mode), WithParallel(workers), WithBatchedBFS(batched))
+						WithMode(tc.mode), WithParallel(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -98,13 +97,9 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 					}
 					return res
 				}
-				serial := build(1, true)
-				if scalar := build(1, false); !reflect.DeepEqual(serial, scalar) {
-					t.Fatalf("scalar BFS result differs from batched\nbatched: %+v\nscalar:  %+v",
-						serial, scalar)
-				}
+				serial := build(1)
 				for _, workers := range []int{3, 8} {
-					parallel := build(workers, true)
+					parallel := build(workers)
 					if !reflect.DeepEqual(serial, parallel) {
 						t.Fatalf("workers=%d: result differs from serial\nserial:   %+v\nparallel: %+v",
 							workers, serial, parallel)
@@ -163,10 +158,7 @@ func TestParallelBuildCancellation(t *testing.T) {
 func TestVerifyResultCatchesPathCorruption(t *testing.T) {
 	net := propertyNetwork(t, 60, 6, 13)
 	g := net.Graph()
-	res, err := Build(g, Options{K: 2, Algorithm: ACLMST})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustBuild(t, g, WithK(2), WithAlgorithm(ACLMST))
 	if len(res.GatewayPaths) == 0 {
 		t.Skip("no gateway paths on this instance")
 	}
