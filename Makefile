@@ -43,4 +43,6 @@ golden:
 	$(GO) build -o $(CURDIR)/bin/khopsim ./cmd/khopsim
 	$(CURDIR)/bin/khopsim -fig 5 -json -seed 1 -runs 5 -parallel 8 | cmp testdata/golden/fig5.json -
 	$(CURDIR)/bin/khopsim -fig churn -json -seed 1 -parallel 8 | cmp testdata/golden/churn.json -
+	$(CURDIR)/bin/khopsim -fig broadcast -json -seed 1 -parallel 8 | cmp testdata/golden/broadcast.json -
+	$(CURDIR)/bin/khopsim -fig routing -json -seed 1 -parallel 8 | cmp testdata/golden/routing.json -
 	$(GO) test -run TestGoldenSnapshot -count=1 ./internal/codec

@@ -1,6 +1,9 @@
 package khop
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -48,6 +51,77 @@ func TestBroadcastPlanBeatsBlind(t *testing.T) {
 	for v := 0; v < g.N(); v++ {
 		_ = plan.Forwards(v) // must not panic for any node
 	}
+}
+
+// TestBroadcastPlanMatchesOracleUnderChurn replays seeded Leave, Join
+// and Move batches through Engine.Apply and, after every batch, checks
+// each node's forwarding bit against a whole-graph oracle: the CDS, plus
+// the interior of the min-ID shortest path (graph.ShortestPath, one full
+// BFS per member) from every listed head to each of its members.
+// Departed slots — self-headed but unlisted — get no path.
+func TestBroadcastPlanMatchesOracleUnderChurn(t *testing.T) {
+	ctx := context.Background()
+	for _, disconnected := range []bool{false, true} {
+		for k := 1; k <= 3; k++ {
+			label := fmt.Sprintf("disconnected=%v k=%d", disconnected, k)
+			net, err := RandomNetwork(NetworkConfig{N: 160, AvgDegree: 6, Seed: int64(60 + k), AllowDisconnected: disconnected})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(net.Graph(), WithK(k), WithAlgorithm(ACLMST))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Build(ctx); err != nil {
+				t.Fatal(err)
+			}
+			departed := 0
+			for b, batch := range churnTrace(net.Graph(), 8, 6, rand.New(rand.NewSource(int64(k)))) {
+				if _, err := e.Apply(ctx, batch...); err != nil {
+					t.Fatalf("%s batch %d: %v", label, b, err)
+				}
+				g, res := e.CurrentGraph(), e.Result()
+				plan, err := NewBroadcastPlan(g, res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracleForwarders(g, res)
+				for v := range want {
+					if plan.Forwards(v) != want[v] {
+						t.Fatalf("%s batch %d: Forwards(%d)=%v, oracle %v", label, b, v, plan.Forwards(v), want[v])
+					}
+					if !e.Alive(v) {
+						departed++
+					}
+				}
+			}
+			if departed == 0 {
+				t.Fatalf("%s: trace left no departed slot", label)
+			}
+		}
+	}
+}
+
+// oracleForwarders is the whole-graph broadcast plan of res over g.
+func oracleForwarders(g *Graph, res *Result) []bool {
+	fwd := make([]bool, g.N())
+	for _, v := range res.CDS {
+		fwd[v] = true
+	}
+	listed := make(map[int]bool, len(res.Heads))
+	for _, h := range res.Heads {
+		listed[h] = true
+	}
+	for v, h := range res.HeadOf {
+		if !listed[h] {
+			continue
+		}
+		path := g.g.ShortestPath(h, v)
+		for i := 1; i+1 < len(path); i++ {
+			fwd[path[i]] = true
+		}
+	}
+	return fwd
 }
 
 func TestRouterFacade(t *testing.T) {

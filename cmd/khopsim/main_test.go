@@ -83,6 +83,8 @@ func TestGoldenFigures(t *testing.T) {
 	}{
 		{"fig5.json", "5", 5},
 		{"churn.json", "churn", 100},
+		{"broadcast.json", "broadcast", 100},
+		{"routing.json", "routing", 100},
 	}
 	for _, tc := range cases {
 		t.Run(tc.workload, func(t *testing.T) {

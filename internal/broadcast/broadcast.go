@@ -87,33 +87,47 @@ func (p *Plan) Forwards(v int) bool { return p.forward[v] }
 // dissemination tree relay toward the fringe. Coverage is guaranteed by
 // construction: every member is reached by walking its tree path from
 // the head, and heads reach each other through the connected CDS.
+//
+// Each member's tree path uses, at every step, its smallest-ID neighbor
+// one hop closer to the head — the same parent the declare-flood tree
+// uses, so a deployment pays no extra state for this plan. The cost
+// follows the clusters, not heads × N: one O(V+E) flatten, then per head
+// one early-exit BFS (graph.FlatGraph.ShortestPathsFrom) that stops when
+// the cluster's farthest member is found. The walk is deliberately not
+// bounded by k: churn repair can leave a member on a detour longer than
+// k hops, and stopping at the last member is exact at any distance.
 func NewPlan(g *graph.Graph, c *cluster.Clustering, res *gateway.Result) *Plan {
-	p := &Plan{forward: make([]bool, g.N())}
+	n := g.N()
+	p := &Plan{forward: make([]bool, n)}
 	for _, v := range res.CDS {
 		p.forward[v] = true
 	}
-	distFrom := make(map[int][]int, len(c.Heads))
-	for _, h := range c.Heads {
-		distFrom[h] = g.BFS(h)
+	// Bucket every vertex under its head in one counting pass:
+	// members[off[h]:off[h+1]] is h's cluster, in ascending ID order.
+	off := make([]int, n+1)
+	for _, h := range c.Head {
+		off[h+1]++
 	}
+	for h := 0; h < n; h++ {
+		off[h+1] += off[h]
+	}
+	members := make([]int, n)
+	next := append([]int(nil), off[:n]...)
 	for v, h := range c.Head {
-		d := distFrom[h]
-		if d == nil {
-			// v is a departed slot (self-headed but not a listed head —
-			// the maintenance convention): it is off the air and needs
-			// no dissemination path.
-			continue
-		}
-		for cur := v; d[cur] > 1; {
-			// Smallest-ID neighbor one hop closer to the head — the same
-			// parent the declare-flood tree uses, so a deployment pays
-			// no extra state for this plan.
-			for _, u := range g.Neighbors(cur) {
-				if d[u] == d[cur]-1 {
-					p.forward[u] = true
-					cur = u
-					break
-				}
+		members[next[h]] = v
+		next[h]++
+	}
+	fg := graph.Flatten(g)
+	sc := graph.NewScratch()
+	// Only listed heads get a tree: a departed slot is self-headed but
+	// not a listed head (the maintenance convention), is off the air,
+	// and needs no dissemination path.
+	for _, h := range c.Heads {
+		for _, path := range fg.ShortestPathsFrom(sc, h, members[off[h]:off[h+1]]) {
+			// path runs head → member; nil when the member is
+			// unreachable, which only a disconnected input allows.
+			for i := 1; i+1 < len(path); i++ {
+				p.forward[path[i]] = true
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -54,6 +55,9 @@ func FuzzRingPlacement(f *testing.F) {
 					mem = append(mem, Member{ID: m, Addr: "http://" + m})
 				}
 			}
+			// Map order is random; sort so the shuffle below, and with it
+			// every step, replays identically for one input.
+			sort.Slice(mem, func(i, j int) bool { return mem[i].ID < mem[j].ID })
 			ring, err := New(mem)
 			if err != nil {
 				t.Fatalf("step %d: New(%v): %v", step, mem, err)

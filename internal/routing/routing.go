@@ -29,8 +29,9 @@ type Router struct {
 	c        *cluster.Clustering
 	res      *gateway.Result
 	backbone *graph.WGraph
-	// scratch pools BFS buffers for the per-query walks (Stretch's
-	// flat-distance check), keeping concurrent queries allocation-free.
+	// scratch pools BFS buffers for the per-query walks (Route's
+	// intra-cluster legs, Stretch's flat-distance check), keeping
+	// concurrent queries free of N-sized allocations.
 	scratch sync.Pool
 }
 
@@ -52,33 +53,42 @@ func New(g *graph.Graph, c *cluster.Clustering, res *gateway.Result) *Router {
 // Route returns the hierarchical route from src to dst (both inclusive),
 // or an error if the backbone cannot connect the two clusters (only
 // possible on disconnected inputs).
+//
+// The intra-cluster legs src → head(src) and head(dst) → dst are
+// early-exit BFS walks in pooled scratch buffers, so a leg costs the
+// ball around its source out to the head, not the whole graph. Ties are
+// broken as in graph.ShortestPath: every vertex steps to its smallest-ID
+// neighbor one hop closer to the leg's source. The backbone leg is the
+// weighted shortest head path over the gateway links.
 func (r *Router) Route(src, dst int) ([]int, error) {
 	if src == dst {
 		return []int{src}, nil
 	}
+	sc := r.scratch.Get().(*graph.Scratch)
+	defer r.scratch.Put(sc)
 	hs, hd := r.c.Head[src], r.c.Head[dst]
 	if hs == hd {
 		// Intra-cluster: members route through their shared head's
 		// cluster; the head is the rendezvous.
-		up := r.g.ShortestPath(src, hs)
-		down := r.g.ShortestPath(hs, dst)
+		up := r.g.ShortestPathScratch(sc, src, hs)
+		down := r.g.ShortestPathScratch(sc, hs, dst)
 		return splice(up, down), nil
 	}
 	headPath := r.backbone.ShortestPath(hs, hd)
 	if headPath == nil {
 		return nil, fmt.Errorf("routing: no backbone path between heads %d and %d", hs, hd)
 	}
-	route := r.g.ShortestPath(src, hs)
+	route := r.g.ShortestPathScratch(sc, src, hs)
 	for i := 0; i+1 < len(headPath); i++ {
-		route = splice(route, r.linkPath(headPath[i], headPath[i+1]))
+		route = splice(route, r.linkPath(sc, headPath[i], headPath[i+1]))
 	}
-	route = splice(route, r.g.ShortestPath(hd, dst))
+	route = splice(route, r.g.ShortestPathScratch(sc, hd, dst))
 	return route, nil
 }
 
 // linkPath returns the gateway path of a backbone link oriented from u
 // to v.
-func (r *Router) linkPath(u, v int) []int {
+func (r *Router) linkPath(sc *graph.Scratch, u, v int) []int {
 	a, b := u, v
 	if a > b {
 		a, b = b, a
@@ -87,7 +97,7 @@ func (r *Router) linkPath(u, v int) []int {
 	if len(path) == 0 {
 		// Backbone link without recorded path cannot happen for results
 		// produced by package gateway; fall back to a direct search.
-		return r.g.ShortestPath(u, v)
+		return r.g.ShortestPathScratch(sc, u, v)
 	}
 	if path[0] == u {
 		return path
