@@ -85,8 +85,9 @@ type Options struct {
 	K           int         // cluster radius in hops (k ≥ 1)
 	Priority    Priority    // election priority; nil means LowestID
 	Affiliation Affiliation // member affiliation rule
-	// Pool, when non-nil with more than one worker, shards each election
-	// round's per-node ball walks across the pool. Every node's
+	// Pool shards each election round's per-node ball walks across its
+	// workers; nil (or one worker) runs the same loop as one shard on the
+	// caller's goroutine. Every node's
 	// declaration check reads only its own k-hop ball against the frozen
 	// round state, so nodes whose balls don't intersect genuinely elect
 	// concurrently, and overlapping balls read the same immutable state —
@@ -112,11 +113,10 @@ type Scratch struct {
 	BFS    *graph.Scratch
 	offers []offer
 	sizes  []int
-	// Per-worker buffers of a parallel run (Options.Pool), reused across
-	// rounds and builds so the sharded phases allocate as little as the
-	// serial ones.
-	parDeclared [][]int
-	parOffers   [][]offer
+	// Per-shard output buffers of the sharded round phases, reused across
+	// rounds and builds so a warm run allocates no round lists.
+	shardDeclared [][]int
+	shardOffers   [][]offer
 }
 
 // NewScratch returns a Scratch whose buffers grow on first use.
@@ -173,28 +173,11 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 		// Phase 1: simultaneous declarations. A node declares iff its
 		// rank beats every other undecided node within its k-hop ball.
 		// The round state (head) is frozen during this phase, so the
-		// per-node checks are independent and shard across the pool when
-		// one is configured; shards merge in node-ID order, which is the
-		// serial order.
-		var declared []int
-		if opt.Pool.Workers() > 1 {
-			var err error
-			declared, err = declareRoundParallel(ctx, g, opt, s, prio, head)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for u := 0; u < n; u++ {
-				if head[u] != undecided {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if declares(g, s.BFS, prio, head, u, opt.K) {
-					declared = append(declared, u)
-				}
-			}
+		// per-node checks are independent and shard across the pool;
+		// shards merge in node-ID order, which is the serial order.
+		declared, err := declareRound(ctx, g, opt, s, prio, head)
+		if err != nil {
+			return nil, err
 		}
 		if len(declared) == 0 {
 			// With a totally ordered priority this cannot happen: the
@@ -209,7 +192,6 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 		// Declared heads are pairwise more than k hops apart (a closer
 		// pair could not both have won), so marking them before the ball
 		// walks never hides one head's declaration from another.
-		s.offers = s.offers[:0]
 		for _, h := range declared {
 			head[h] = h
 			distToHead[h] = 0
@@ -219,11 +201,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 		// already marked), so they shard too; the offer multiset is
 		// identical however it is collected, and joinAll's total sort on
 		// the unique (node, head) keys erases the collection order.
-		if opt.Pool.Workers() > 1 {
-			if err := offerRoundParallel(ctx, opt, s, declared, head); err != nil {
-				return nil, err
-			}
-		} else if err := offerBlocks(ctx, opt.Flat, s.BFS, head, declared, opt.K, &s.offers); err != nil {
+		if err := offerRound(ctx, opt, s, declared, head); err != nil {
 			return nil, err
 		}
 		joinAll(s, head, distToHead, opt.Affiliation, &remaining)
@@ -305,24 +283,30 @@ func offerBlocks(ctx context.Context, fg *graph.FlatGraph, bs *graph.Scratch, he
 	return nil
 }
 
-// declareRoundParallel runs one declaration phase sharded across the
-// pool and merges the per-shard winner lists in shard (= node-ID)
-// order, reproducing the serial list exactly.
-func declareRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *Scratch, prio Priority, head []int) ([]int, error) {
+// shardSlots returns w per-shard buffers from *bufs, grown as needed
+// and all truncated: a round with fewer items than workers runs fewer
+// shards, and a stale slot from an earlier round must not leak into
+// this round's merge.
+func shardSlots[T any](bufs *[][]T, w int) [][]T {
+	for len(*bufs) < w {
+		*bufs = append(*bufs, nil)
+	}
+	slots := (*bufs)[:w]
+	for i := range slots {
+		slots[i] = slots[i][:0]
+	}
+	return slots
+}
+
+// declareRound runs one declaration phase sharded across the pool (one
+// shard when serial) and merges the per-shard winner lists into slot 0
+// in shard (= node-ID) order, which is the serial list. The returned
+// slice is scratch memory, valid until the next round.
+func declareRound(ctx context.Context, g *graph.Graph, opt Options, s *Scratch, prio Priority, head []int) ([]int, error) {
 	const undecided = -1
-	w := opt.Pool.Workers()
-	for len(s.parDeclared) < w {
-		s.parDeclared = append(s.parDeclared, nil)
-	}
-	decl := s.parDeclared
-	// Reset every worker slot first: a round with fewer items than
-	// workers runs fewer shards, and a stale slot from the previous
-	// round must not leak into this round's merge.
-	for i := range decl[:w] {
-		decl[i] = decl[i][:0]
-	}
-	err := opt.Pool.Shard(ctx, g.N(), func(shard int, bs *graph.Scratch, r partition.Range) error {
-		out := decl[shard][:0]
+	decl := shardSlots(&s.shardDeclared, opt.Pool.Workers())
+	err := opt.Pool.Shard(ctx, g.N(), s.BFS, func(shard int, bs *graph.Scratch, r partition.Range) error {
+		out := decl[shard]
 		for u := r.Start; u < r.End; u++ {
 			if head[u] != undecided {
 				continue
@@ -340,38 +324,27 @@ func declareRoundParallel(ctx context.Context, g *graph.Graph, opt Options, s *S
 	if err != nil {
 		return nil, err
 	}
-	var declared []int
-	for _, part := range decl[:w] {
-		declared = append(declared, part...)
+	for _, part := range decl[1:] {
+		decl[0] = append(decl[0], part...)
 	}
-	return declared, nil
+	return decl[0], nil
 }
 
-// offerRoundParallel collects the round's offers sharded over the
-// declared heads, concatenating the per-shard lists into s.offers.
-func offerRoundParallel(ctx context.Context, opt Options, s *Scratch, declared, head []int) error {
-	w := opt.Pool.Workers()
-	for len(s.parOffers) < w {
-		s.parOffers = append(s.parOffers, nil)
-	}
-	offs := s.parOffers
-	// As in declareRoundParallel: clear stale slots from rounds that ran
-	// more shards than this one will.
-	for i := range offs[:w] {
-		offs[i] = offs[i][:0]
-	}
-	err := opt.Pool.Shard(ctx, len(declared), func(shard int, bs *graph.Scratch, r partition.Range) error {
-		out := offs[shard][:0]
-		if err := offerBlocks(ctx, opt.Flat, bs, head, declared[r.Start:r.End], opt.K, &out); err != nil {
-			return err
-		}
-		offs[shard] = out
-		return nil
+// offerRound collects the round's offers into s.offers, sharded over
+// the declared heads (one shard when serial). Shard 0 appends to
+// s.offers directly and the later shards' lists are concatenated after
+// it, so a serial run copies nothing.
+func offerRound(ctx context.Context, opt Options, s *Scratch, declared, head []int) error {
+	offs := shardSlots(&s.shardOffers, opt.Pool.Workers())
+	offs[0] = s.offers[:0]
+	err := opt.Pool.Shard(ctx, len(declared), s.BFS, func(shard int, bs *graph.Scratch, r partition.Range) error {
+		return offerBlocks(ctx, opt.Flat, bs, head, declared[r.Start:r.End], opt.K, &offs[shard])
 	})
+	s.offers = offs[0]
 	if err != nil {
 		return err
 	}
-	for _, part := range offs[:w] {
+	for _, part := range offs[1:] {
 		s.offers = append(s.offers, part...)
 	}
 	return nil

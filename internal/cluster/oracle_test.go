@@ -106,7 +106,7 @@ func TestOfferBlocksMatchScalarOracle(t *testing.T) {
 				}
 				want = sortedOffers(want)
 				s.offers = s.offers[:0]
-				if err := offerRoundParallel(ctx, opt, s, declared, head); err != nil {
+				if err := offerRound(ctx, opt, s, declared, head); err != nil {
 					t.Fatal(err)
 				}
 				if got := sortedOffers(s.offers); !slices.Equal(got, want) {

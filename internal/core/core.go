@@ -28,11 +28,11 @@ type Options struct {
 	// pipeline's BFS hot loops run in. Engines pool Scratches across
 	// builds so steady-state rebuilds stay near-zero-alloc.
 	Scratch *Scratch
-	// Pool, when non-nil with more than one worker, shards every phase
-	// of the build — election rounds, neighbor selection, gateway path
-	// and LMST fan-outs — across its workers, producing output bitwise
-	// identical to a serial build. Obtain one from Scratch.Par so the
-	// per-worker buffers pool with the rest of the build's memory.
+	// Pool shards every phase of the build — election rounds, neighbor
+	// selection, gateway path and LMST fan-outs — across its workers; nil
+	// runs each phase as one shard on Scratch's buffers, and the output is
+	// bitwise identical for any worker count. Obtain one from Scratch.Par
+	// so the per-worker buffers pool with the rest of the build's memory.
 	Pool *partition.Pool
 }
 
@@ -58,9 +58,10 @@ func NewScratch() *Scratch {
 func (s *Scratch) BFS() *graph.Scratch { return s.bfs }
 
 // Par returns the scratch's worker pool sized to the given worker
-// count, creating it on first use; workers <= 1 returns nil (serial).
-// The pool's per-worker buffers are retained with the Scratch, so a
-// pooled Scratch keeps parallel rebuilds warm too.
+// count, creating it on first use; workers <= 1 returns nil, which
+// Pool.Shard runs as one shard. The pool's per-worker buffers are
+// retained with the Scratch, so a pooled Scratch keeps parallel
+// rebuilds warm too.
 func (s *Scratch) Par(workers int) *partition.Pool {
 	if workers <= 1 {
 		return nil
@@ -116,16 +117,10 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error)
 }
 
 // SelectionForPar returns the neighbor clusterhead selection the given
-// algorithm uses. G-MST connects all head pairs centrally; its reported
-// selection is the NC view for inspection purposes. The selection
-// honors ctx, reuses s's BFS buffers (nil is valid), shards across
-// pool's workers (nil pool = serial, identical output), and runs its
+// algorithm uses (Algorithm.NeighborRule). The selection honors ctx,
+// reuses s's BFS buffers (nil is valid), shards across pool's workers
+// (a nil pool runs one shard; the output is identical), and runs its
 // sweeps on fg, the CSR snapshot of g (see ncr.SelectPar).
 func SelectionForPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch, pool *partition.Pool) (*ncr.Selection, error) {
-	rule := ncr.RuleNC
-	switch algo {
-	case gateway.ACMesh, gateway.ACLMST:
-		rule = ncr.RuleANCR
-	}
-	return ncr.SelectPar(ctx, g, fg, c, rule, s, pool)
+	return ncr.SelectPar(ctx, g, fg, c, algo.NeighborRule(), s, pool)
 }

@@ -79,36 +79,15 @@ func splitmix64(x uint64) uint64 {
 // Trials are scheduled speculatively in batches of the worker count, so
 // up to workers-1 trial results past the stopping point are computed
 // and discarded; with an adaptive stopping rule that waste is the price
-// of bitwise-stable output. All workers are joined before return, so no
-// goroutines outlive the call even on cancellation.
+// of bitwise-stable output. One worker runs the same loop with batches
+// of one trial, so it computes nothing speculatively. All workers are
+// joined before return, so no goroutines outlive the call even on
+// cancellation.
 func RunTrials[T any](ctx context.Context, r Runner,
 	trial func(ctx context.Context, idx int, rng *rand.Rand) (T, error),
 	consume func(idx int, result T) (done bool, err error)) (int, error) {
 
 	workers := r.workers()
-	if workers == 1 {
-		// Serial reference path: no goroutines, no speculation.
-		for idx := 0; ; idx++ {
-			if err := ctx.Err(); err != nil {
-				return idx, err
-			}
-			v, err := trial(ctx, idx, TrialRNG(r.Seed, r.Key, idx))
-			if err != nil {
-				return idx, fmt.Errorf("trial %d: %w", idx, err)
-			}
-			done, err := consume(idx, v)
-			if err != nil {
-				return idx, fmt.Errorf("trial %d: %w", idx, err)
-			}
-			if r.Progress != nil {
-				r.Progress(idx + 1)
-			}
-			if done {
-				return idx + 1, nil
-			}
-		}
-	}
-
 	type slot struct {
 		val T
 		err error

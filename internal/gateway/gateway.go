@@ -68,6 +68,21 @@ func (a Algorithm) String() string {
 	}
 }
 
+// NeighborRule returns the neighbor clusterhead selection rule the
+// pipeline runs on: A-NCR for the AC algorithms, NC otherwise. G-MST
+// connects all head pairs centrally; NC is its selection for inspection
+// purposes. An unknown algorithm panics.
+func (a Algorithm) NeighborRule() ncr.Rule {
+	switch a {
+	case ACMesh, ACLMST:
+		return ncr.RuleANCR
+	case NCMesh, NCLMST, GMST:
+		return ncr.RuleNC
+	default:
+		panic(fmt.Sprintf("gateway: unknown algorithm %d", int(a)))
+	}
+}
+
 // Result is the outcome of a gateway-selection run.
 type Result struct {
 	Algorithm Algorithm
@@ -118,14 +133,7 @@ func Run(g *graph.Graph, c *cluster.Clustering, algo Algorithm) *Result {
 // flattens g once and shares the snapshot between the neighbor and the
 // gateway selection stages.
 func RunCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo Algorithm, s *graph.Scratch) (*Result, error) {
-	rule := ncr.RuleNC
-	switch algo {
-	case ACMesh, ACLMST:
-		rule = ncr.RuleANCR
-	case NCMesh, NCLMST, GMST:
-	default:
-		panic(fmt.Sprintf("gateway: unknown algorithm %d", int(algo)))
-	}
+	rule := algo.NeighborRule()
 	fg := graph.Flatten(g)
 	var sel *ncr.Selection
 	if algo != GMST {
@@ -147,7 +155,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo Alg
 // workers. The Result — links, paths, gateways, CDS — is identical to a
 // serial run for any worker count: every sharded item is an independent
 // read-only computation whose outputs merge in the serial order. A nil
-// pool (or one worker) is the serial path.
+// pool (or one worker) runs the same loops as one shard.
 //
 // The BFS fan-outs run on fg, the CSR snapshot of g (nil makes
 // RunSelectedPar flatten g itself): per-pair shortest paths group by
@@ -268,18 +276,7 @@ func shortestPaths(ctx context.Context, fg *graph.FlatGraph, pairs [][2]int, s *
 		}
 		return nil
 	}
-	if pool.Workers() <= 1 {
-		if s == nil {
-			s = graph.NewScratch()
-		}
-		for _, gr := range groups {
-			if err := doGroup(s, gr); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	err := pool.Shard(ctx, len(groups), func(_ int, bs *graph.Scratch, r partition.Range) error {
+	err := pool.Shard(ctx, len(groups), s, func(_ int, bs *graph.Scratch, r partition.Range) error {
 		for gi := r.Start; gi < r.End; gi++ {
 			if err := doGroup(bs, groups[gi]); err != nil {
 				return err
@@ -388,26 +385,17 @@ func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, se
 		sub := vg.Subgraph(local)
 		return sub.MSTRooted(u)
 	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, len(verts), func(_ int, _ *graph.Scratch, r partition.Range) error {
-			for i := r.Start; i < r.End; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				onTreeOf[i] = localMST(verts[i])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for i, u := range verts {
+	err = pool.Shard(ctx, len(verts), s, func(_ int, _ *graph.Scratch, r partition.Range) error {
+		for i := r.Start; i < r.End; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			onTreeOf[i] = localMST(u)
+			onTreeOf[i] = localMST(verts[i])
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// keepVotes[link] counts how many endpoints kept the link (1 or 2).
@@ -545,13 +533,13 @@ func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *grap
 	for i, h := range heads {
 		headIdx[h] = int32(i)
 	}
-	rowRange := func(bs *graph.Scratch, lo, hi int) error {
+	err := pool.Shard(ctx, len(heads), s, func(_ int, bs *graph.Scratch, r partition.Range) error {
 		var block [64]int
-		for base := lo; base < hi; base += 64 {
+		for base := r.Start; base < r.End; base += 64 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			idxs := perm[base:min(base+64, hi)]
+			idxs := perm[base:min(base+64, r.End)]
 			for i, pi := range idxs {
 				block[i] = heads[pi]
 			}
@@ -568,25 +556,13 @@ func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *grap
 				return true
 			})
 		}
-		for _, pi := range perm[lo:hi] {
+		for _, pi := range perm[r.Start:r.End] {
 			row := dists[pi]
 			sort.Slice(row, func(a, b int) bool { return row[a].V < row[b].V })
 		}
 		return nil
-	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			return rowRange(bs, r.Start, r.End)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return dists, nil
-	}
-	if s == nil {
-		s = graph.NewScratch()
-	}
-	if err := rowRange(s, 0, len(heads)); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return dists, nil

@@ -35,6 +35,27 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+func TestAlgorithmNeighborRule(t *testing.T) {
+	want := map[Algorithm]ncr.Rule{
+		NCMesh: ncr.RuleNC, ACMesh: ncr.RuleANCR, NCLMST: ncr.RuleNC,
+		ACLMST: ncr.RuleANCR, GMST: ncr.RuleNC,
+	}
+	if len(want) != len(Algorithms) {
+		t.Fatalf("table covers %d algorithms, Algorithms lists %d", len(want), len(Algorithms))
+	}
+	for _, a := range Algorithms {
+		if got := a.NeighborRule(); got != want[a] {
+			t.Errorf("%v.NeighborRule()=%v, want %v", a, got, want[a])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown algorithm's NeighborRule did not panic")
+		}
+	}()
+	Algorithm(42).NeighborRule()
+}
+
 func TestRunUnknownAlgorithmPanics(t *testing.T) {
 	g, c := testInstance(t, 30, 6, 1, 1)
 	defer func() {

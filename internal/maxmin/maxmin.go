@@ -52,8 +52,8 @@ func Run(g *graph.Graph, d int) *cluster.Clustering {
 // sharded across pool's workers. A flood round reads the previous
 // round's winners and writes each node's slot exclusively — the
 // synchronous-round structure *is* the partition — so the clustering is
-// identical to a serial run for any worker count. A nil pool (or one
-// worker) is the serial path. The floods read fg, the CSR snapshot of g
+// identical for any worker count; a nil pool (or one worker) runs the
+// same loops as one shard. The floods read fg, the CSR snapshot of g
 // (nil makes RunPar flatten g itself), and the distance pass runs as
 // multi-source batched BFS on it: 64 heads per frontier sweep, depth d.
 func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *graph.Scratch, pool *partition.Pool) (*cluster.Clustering, error) {
@@ -75,8 +75,8 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	// only by v's shard, winner is frozen for the round.
 	flood := func(log [][]int, better func(a, b int) bool) error {
 		next := make([]int, n)
-		round := func(lo, hi int) {
-			for v := lo; v < hi; v++ {
+		err := pool.Shard(ctx, n, s, func(_ int, _ *graph.Scratch, r partition.Range) error {
+			for v := r.Start; v < r.End; v++ {
 				best := winner[v]
 				for _, u := range fg.Neighbors(v) {
 					if better(winner[u], best) {
@@ -86,20 +86,10 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 				next[v] = best
 				log[v] = append(log[v], best)
 			}
-		}
-		if pool.Workers() > 1 {
-			err := pool.Shard(ctx, n, func(_ int, _ *graph.Scratch, r partition.Range) error {
-				round(r.Start, r.End)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			round(0, n)
-		}
+			return nil
+		})
 		winner = next
-		return nil
+		return err
 	}
 
 	// Floodmax: d synchronous rounds of "adopt the largest winner among
@@ -123,21 +113,14 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	}
 
 	head := make([]int, n)
-	electRange := func(lo, hi int) {
-		for v := lo; v < hi; v++ {
+	err := pool.Shard(ctx, n, s, func(_ int, _ *graph.Scratch, r partition.Range) error {
+		for v := r.Start; v < r.End; v++ {
 			head[v] = elect(v, maxLog[v], minLog[v])
 		}
-	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, n, func(_ int, _ *graph.Scratch, r partition.Range) error {
-			electRange(r.Start, r.End)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		electRange(0, n)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Consistency pass: every node selected by someone must head itself
@@ -164,13 +147,13 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 	// only carries IDs d hops), so the sweeps reach every member.
 	distToHead := make([]int, n)
 	headPerm := fg.BlockOrder(heads, d)
-	headDistRange := func(bs *graph.Scratch, lo, hi int) error {
+	err = pool.Shard(ctx, len(heads), s, func(_ int, bs *graph.Scratch, r partition.Range) error {
 		var block [64]int
-		for base := lo; base < hi; base += 64 {
+		for base := r.Start; base < r.End; base += 64 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			idxs := headPerm[base:min(base+64, hi)]
+			idxs := headPerm[base:min(base+64, r.End)]
 			for i, pi := range idxs {
 				block[i] = heads[pi]
 			}
@@ -184,21 +167,9 @@ func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *
 			})
 		}
 		return nil
-	}
-	if pool.Workers() > 1 {
-		err := pool.Shard(ctx, len(heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			return headDistRange(bs, r.Start, r.End)
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if s == nil {
-			s = graph.NewScratch()
-		}
-		if err := headDistRange(s, 0, len(heads)); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	return &cluster.Clustering{

@@ -97,11 +97,10 @@ func Select(g *graph.Graph, c *cluster.Clustering, rule Rule) *Selection {
 // SelectPar runs the given rule, honoring cancellation between
 // neighborhood sweeps and reusing s's BFS buffers (nil is valid). The
 // per-head neighborhood walks (NC) or the edge scan (A-NCR) shard across
-// pool's workers; the selection is identical to a serial run for any
-// worker count, and a nil pool (or one worker) is the serial path. NC
-// runs as multi-source batched BFS on fg, the CSR snapshot of g — one
-// frontier sweep per 64-head block; a nil fg makes SelectPar flatten g
-// itself.
+// pool's workers; a nil pool (or one worker) runs the same loops as one
+// shard, so the selection is identical for any worker count. NC runs as
+// multi-source batched BFS on fg, the CSR snapshot of g — one frontier
+// sweep per 64-head block; a nil fg makes SelectPar flatten g itself.
 func SelectPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, rule Rule, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
 	switch rule {
 	case RuleNC:
@@ -110,7 +109,7 @@ func SelectPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *clus
 		}
 		return ncCtx(ctx, fg, c, s, pool)
 	case RuleANCR:
-		return ancrCtx(ctx, g, c, pool)
+		return ancrCtx(ctx, g, c, s, pool)
 	case RuleWuLou:
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -163,22 +162,13 @@ func ncCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, s *g
 		}
 		return nil
 	}
-	if pool.Workers() > 1 {
-		// Each head block's sweep is independent and read-only; shard the
-		// head list, each shard writing its own slots of nbsOf.
-		err := pool.Shard(ctx, len(c.Heads), func(_ int, bs *graph.Scratch, r partition.Range) error {
-			return ncRange(bs, r.Start, r.End)
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if s == nil {
-			s = graph.NewScratch()
-		}
-		if err := ncRange(s, 0, len(c.Heads)); err != nil {
-			return nil, err
-		}
+	// Each head block's sweep is independent and read-only; shard the
+	// head list, each shard writing its own slots of nbsOf.
+	err := pool.Shard(ctx, len(c.Heads), s, func(_ int, bs *graph.Scratch, r partition.Range) error {
+		return ncRange(bs, r.Start, r.End)
+	})
+	if err != nil {
+		return nil, err
 	}
 	sel := &Selection{Rule: RuleNC, K: c.K, Neighbors: make(map[int][]int, len(c.Heads))}
 	for i, h := range c.Heads {
@@ -194,11 +184,11 @@ func ncCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, s *g
 // distributed rule works too — border members detect foreign neighbors
 // and report the foreign head to their own head.
 func ANCR(g *graph.Graph, c *cluster.Clustering) *Selection {
-	sel, _ := ancrCtx(context.Background(), g, c, nil)
+	sel, _ := ancrCtx(context.Background(), g, c, nil, nil)
 	return sel
 }
 
-func ancrCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, pool *partition.Pool) (*Selection, error) {
+func ancrCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
 	sel := &Selection{Rule: RuleANCR, K: c.K, Neighbors: make(map[int][]int, len(c.Heads))}
 	scanRange := func(adj map[[2]int]bool, lo, hi int) error {
 		record := func(u, v int) {
@@ -225,26 +215,22 @@ func ancrCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, pool *p
 		}
 		return nil
 	}
-	adj := make(map[[2]int]bool)
-	if pool.Workers() > 1 {
-		// The adjacency relation is a set: shard the edge scan by node
-		// range into per-shard sets and union them — order-free, so the
-		// merged set is identical to the serial one.
-		parts := make([]map[[2]int]bool, pool.Workers())
-		err := pool.Shard(ctx, g.N(), func(shard int, _ *graph.Scratch, r partition.Range) error {
-			parts[shard] = make(map[[2]int]bool)
-			return scanRange(parts[shard], r.Start, r.End)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, part := range parts {
-			for pair := range part {
-				adj[pair] = true
-			}
-		}
-	} else if err := scanRange(adj, 0, g.N()); err != nil {
+	// The adjacency relation is a set: shard the edge scan by node range
+	// into per-shard sets and union the later ones into the first —
+	// order-free, so the merged set is identical to the serial one.
+	parts := make([]map[[2]int]bool, pool.Workers())
+	err := pool.Shard(ctx, g.N(), s, func(shard int, _ *graph.Scratch, r partition.Range) error {
+		parts[shard] = make(map[[2]int]bool)
+		return scanRange(parts[shard], r.Start, r.End)
+	})
+	if err != nil {
 		return nil, err
+	}
+	adj := parts[0]
+	for _, part := range parts[1:] {
+		for pair := range part {
+			adj[pair] = true
+		}
 	}
 	for _, h := range c.Heads {
 		sel.Neighbors[h] = nil

@@ -11,6 +11,8 @@
 // shard order, which is index order, which is the serial order. No
 // locks, no channels, no reordering: a shard owns its slice of the
 // output, so the merged result cannot depend on goroutine scheduling.
+// A serial run is the same loop with one shard; callers have no
+// separate serial code path.
 package partition
 
 import (
@@ -55,7 +57,7 @@ func Ranges(n, parts int) []Range {
 // Pool is a reusable set of per-worker BFS scratches plus the worker
 // count build phases shard across. A Pool serves one build at a time
 // (engines keep one per in-flight build, exactly like the serial
-// scratch); the zero worker count and the nil Pool both mean serial.
+// scratch); a nil or zero Pool runs everything as one shard.
 //
 // Scratches are lazily created and kept warm across phases and builds,
 // so steady-state parallel rebuilds allocate no traversal buffers —
@@ -105,21 +107,24 @@ func (p *Pool) Scratch(w int) *graph.Scratch {
 // the call. All shards are joined before Shard returns; the error of
 // the lowest-indexed failing shard is returned, so error reporting is
 // as deterministic as the results. fn is responsible for honoring ctx
-// per item (exactly like the serial loops it replaces).
+// per item.
 //
-// With a nil Pool, one worker, or at most one item, fn runs inline on
-// the caller's goroutine with the worker-0 scratch — the serial path.
-func (p *Pool) Shard(ctx context.Context, items int, fn func(shard int, s *graph.Scratch, r Range) error) error {
-	ranges := Ranges(items, p.Workers())
-	if len(ranges) == 0 {
+// Serial execution is the one-shard case of the same loop: with a nil
+// Pool, one worker, or at most one item, fn(0, s, Range{0, items}) runs
+// inline on the caller's goroutine with the caller's scratch s, so a
+// serial build keeps using its own warm buffers. A nil s gets a fresh
+// scratch. Multi-shard runs use the pool's per-worker scratches.
+func (p *Pool) Shard(ctx context.Context, items int, s *graph.Scratch, fn func(shard int, s *graph.Scratch, r Range) error) error {
+	if items <= 0 {
 		return ctx.Err()
 	}
-	if p == nil {
-		return fn(0, graph.NewScratch(), Range{Start: 0, End: items})
+	if items == 1 || p.Workers() <= 1 {
+		if s == nil {
+			s = graph.NewScratch()
+		}
+		return fn(0, s, Range{Start: 0, End: items})
 	}
-	if len(ranges) == 1 {
-		return fn(0, p.Scratch(0), ranges[0])
-	}
+	ranges := Ranges(items, p.Workers())
 	errs := make([]error, len(ranges))
 	done := make(chan struct{})
 	for i := range ranges {

@@ -1,12 +1,14 @@
 package partition
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
+	"testing"
 
 	"repro/internal/graph"
-	"testing"
 )
 
 func TestRangesCoverExactly(t *testing.T) {
@@ -42,7 +44,7 @@ func TestShardVisitsEveryItemOnce(t *testing.T) {
 		p := NewPool(workers)
 		const items = 100
 		var hits [items]int32
-		err := p.Shard(ctx, items, func(shard int, s *graph.Scratch, r Range) error {
+		err := p.Shard(ctx, items, nil, func(shard int, s *graph.Scratch, r Range) error {
 			if s == nil {
 				return errors.New("nil scratch")
 			}
@@ -65,7 +67,7 @@ func TestShardVisitsEveryItemOnce(t *testing.T) {
 func TestShardReturnsLowestShardError(t *testing.T) {
 	p := NewPool(4)
 	errLow, errHigh := errors.New("low"), errors.New("high")
-	err := p.Shard(context.Background(), 40, func(shard int, _ *graph.Scratch, _ Range) error {
+	err := p.Shard(context.Background(), 40, nil, func(shard int, _ *graph.Scratch, _ Range) error {
 		switch shard {
 		case 1:
 			return errLow
@@ -85,7 +87,7 @@ func TestNilPoolIsSerial(t *testing.T) {
 		t.Fatalf("nil pool workers=%d", p.Workers())
 	}
 	ran := false
-	err := p.Shard(context.Background(), 7, func(shard int, _ *graph.Scratch, r Range) error {
+	err := p.Shard(context.Background(), 7, nil, func(shard int, _ *graph.Scratch, r Range) error {
 		ran = true
 		if shard != 0 || r.Start != 0 || r.End != 7 {
 			t.Fatalf("nil pool shard=%d range=%+v", shard, r)
@@ -100,10 +102,56 @@ func TestNilPoolIsSerial(t *testing.T) {
 func TestShardEmptyHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := NewPool(4).Shard(ctx, 0, nil); err == nil {
+	if err := NewPool(4).Shard(ctx, 0, nil, nil); err == nil {
 		t.Fatal("cancelled empty shard returned nil")
 	}
-	if err := NewPool(4).Shard(context.Background(), 0, nil); err != nil {
+	if err := NewPool(4).Shard(context.Background(), 0, nil, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goroutineID returns the calling goroutine's id from its stack header
+// ("goroutine N [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return string(bytes.Fields(buf[:n])[1])
+}
+
+// TestShardSerialIsOneInlineShard pins the serial path: a nil pool, a
+// one-worker pool, and a multi-worker pool given one item each run fn
+// exactly once, inline on the caller's goroutine, with the caller's
+// scratch and the whole range; a nil scratch is replaced by a fresh one.
+func TestShardSerialIsOneInlineShard(t *testing.T) {
+	cases := []struct {
+		name  string
+		pool  *Pool
+		items int
+	}{
+		{"nil pool", nil, 9},
+		{"one worker", NewPool(1), 9},
+		{"one item", NewPool(4), 1},
+	}
+	caller := goroutineID()
+	for _, tc := range cases {
+		for _, s := range []*graph.Scratch{graph.NewScratch(), nil} {
+			calls := 0
+			err := tc.pool.Shard(context.Background(), tc.items, s, func(shard int, got *graph.Scratch, r Range) error {
+				calls++
+				if id := goroutineID(); id != caller {
+					t.Errorf("%s: fn ran on goroutine %s, want the caller's %s", tc.name, id, caller)
+				}
+				if shard != 0 || r != (Range{Start: 0, End: tc.items}) {
+					t.Errorf("%s: shard=%d range=%+v, want 0 and [0,%d)", tc.name, shard, r, tc.items)
+				}
+				if got == nil || (s != nil && got != s) {
+					t.Errorf("%s: fn got scratch %p, want the caller's %p (or a fresh one for nil)", tc.name, got, s)
+				}
+				return nil
+			})
+			if err != nil || calls != 1 {
+				t.Fatalf("%s (nil scratch %v): err=%v calls=%d, want one call", tc.name, s == nil, err, calls)
+			}
+		}
 	}
 }

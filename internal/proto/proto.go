@@ -35,20 +35,11 @@ type Options struct {
 // localized algorithms. G-MST is centralized by definition and has no
 // distributed counterpart.
 func AlgorithmOptions(k int, algo gateway.Algorithm) (Options, error) {
-	opt := Options{K: k}
 	switch algo {
-	case gateway.NCMesh:
-		opt.Rule, opt.UseLMST = ncr.RuleNC, false
-	case gateway.ACMesh:
-		opt.Rule, opt.UseLMST = ncr.RuleANCR, false
-	case gateway.NCLMST:
-		opt.Rule, opt.UseLMST = ncr.RuleNC, true
-	case gateway.ACLMST:
-		opt.Rule, opt.UseLMST = ncr.RuleANCR, true
-	default:
-		return Options{}, fmt.Errorf("proto: algorithm %v has no distributed implementation", algo)
+	case gateway.NCMesh, gateway.ACMesh, gateway.NCLMST, gateway.ACLMST:
+		return Options{K: k, Rule: algo.NeighborRule(), UseLMST: algo == gateway.NCLMST || algo == gateway.ACLMST}, nil
 	}
-	return opt, nil
+	return Options{}, fmt.Errorf("proto: algorithm %v has no distributed implementation", algo)
 }
 
 // PhaseStats records the protocol cost of one pipeline phase.

@@ -57,13 +57,17 @@ func (s *Server) walOptions() wal.Options {
 	return wal.Options{Sync: s.cfg.WALSync, SyncEvery: s.cfg.WALSyncEvery}
 }
 
-// persistSnapshot atomically writes one deployment's snapshot bytes
-// (temp file + rename) under the state directory.
-func (s *Server) persistSnapshot(id string, raw []byte) error {
+// writeFileAtomic durably replaces path (a file in the state directory)
+// with raw: write a temp file, fsync it, rename it over path, then fsync
+// the state directory so the rename itself survives a power loss. A
+// checkpoint depends on that last step: it truncates the WAL right
+// after replacing the base snapshot, and the truncation is durable, so
+// an unsynced rename could leave the old base beside an empty log.
+func (s *Server) writeFileAtomic(path string, raw []byte) error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.cfg.StateDir, id+".*.tmp")
+	tmp, err := os.CreateTemp(s.cfg.StateDir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
@@ -72,13 +76,18 @@ func (s *Server) persistSnapshot(id string, raw []byte) error {
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("write snapshot %q: %w", id, errors.Join(werr, serr, cerr))
+		return fmt.Errorf("write %s: %w", filepath.Base(path), errors.Join(werr, serr, cerr))
 	}
-	if err := os.Rename(tmp.Name(), s.snapPath(id)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return nil
+	dir, err := os.Open(s.cfg.StateDir)
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // removeDurable deletes a deployment's persisted state (snapshot file,
@@ -105,25 +114,7 @@ func (s *Server) persistGen(id string, gen uint64) error {
 	if !s.durable() || gen == 0 {
 		return nil
 	}
-	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.cfg.StateDir, id+".gen.*.tmp")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.WriteString(strconv.FormatUint(gen, 10))
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("write generation %q: %w", id, errors.Join(werr, serr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), s.genPath(id)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return s.writeFileAtomic(s.genPath(id), []byte(strconv.FormatUint(gen, 10)))
 }
 
 // loadGen reads a persisted hand-off generation; absent means 0 (never
@@ -152,7 +143,7 @@ func (s *Server) loadGen(id string) uint64 {
 // the held lock is what keeps the "visible before durable" window
 // closed, since every reader and writer serializes behind it.
 func (s *Server) makeDurableLocked(d *deployment, raw []byte) error {
-	if err := s.persistSnapshot(d.id, raw); err != nil {
+	if err := s.writeFileAtomic(s.snapPath(d.id), raw); err != nil {
 		return err
 	}
 	if err := wal.Remove(s.walDir(d.id)); err != nil {
@@ -190,7 +181,7 @@ func (s *Server) checkpointBytesLocked(d *deployment, wantRaw bool) ([]byte, err
 		return nil, err
 	}
 	if s.durable() {
-		if err := s.persistSnapshot(d.id, raw); err != nil {
+		if err := s.writeFileAtomic(s.snapPath(d.id), raw); err != nil {
 			return nil, err
 		}
 		if d.wal != nil {
@@ -236,7 +227,7 @@ func (s *Server) compactLocked(d *deployment) (dropped int, err error) {
 		if err := codec.Encode(&buf, c); err != nil {
 			return 0, err
 		}
-		if err := s.persistSnapshot(d.id, buf.Bytes()); err != nil {
+		if err := s.writeFileAtomic(s.snapPath(d.id), buf.Bytes()); err != nil {
 			return 0, err
 		}
 	}

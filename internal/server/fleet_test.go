@@ -546,6 +546,11 @@ func TestFleetStaleHandoffRejected(t *testing.T) {
 	if _, err := n2.c.Events(ctx, moving, []api.EventRequest{{Kind: "leave", Node: 3}}); err != nil {
 		t.Fatalf("write on the new owner after hand-off: %v", err)
 	}
+	// The receiver persisted the hand-off generation atomically.
+	if _, err := os.Stat(filepath.Join(dir2, moving+".gen")); err != nil {
+		t.Fatalf("hand-off generation not persisted: %v", err)
+	}
+	assertNoTempFiles(t, dir2)
 
 	// kill -9 the old owner as if it died between the ack and dropLocal:
 	// its durable copy of `moving` is still on disk. Restart both nodes

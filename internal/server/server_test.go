@@ -233,9 +233,23 @@ func TestDeprecatedAliases(t *testing.T) {
 	}
 }
 
+// assertNoTempFiles fails if an atomic state-dir write left its temp
+// file behind.
+func assertNoTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	left, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Fatalf("temp files left in the state dir: %v", left)
+	}
+}
+
 // TestSaveLoadRoundTrip covers the graceful path: Save checkpoints
 // every deployment (snapshot + truncated WAL) and Load brings them
-// back, skipping bit-rotted files.
+// back, skipping bit-rotted files. Neither the create nor the
+// checkpoint writes leave a temp file behind.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	dir := filepath.Join(t.TempDir(), "state")
@@ -252,12 +266,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := c1.Create(ctx, second); err != nil {
 		t.Fatal(err)
 	}
+	assertNoTempFiles(t, dir)
 	if _, err := c1.Events(ctx, "prod", []api.EventRequest{{Kind: "leave", Node: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Save(); err != nil {
 		t.Fatal(err)
 	}
+	assertNoTempFiles(t, dir)
 	for _, f := range []string{"prod.khop", "edge-eu.1.khop"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("Save did not write %s: %v", f, err)
