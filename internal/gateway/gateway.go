@@ -97,19 +97,6 @@ type Result struct {
 	// CDS is the connected dominating set: clusterheads ∪ gateways,
 	// sorted ascending.
 	CDS []int
-
-	// lmst caches what the LMSTGA stage's per-head decisions depended on
-	// (the virtual graph and each head's kept on-tree neighbors), so an
-	// incremental re-run (RunSelectedFrom) recomputes local MSTs only
-	// for heads whose virtual neighborhood changed. Nil for non-LMST
-	// algorithms and for Results assembled outside this package.
-	lmst *lmstState
-}
-
-// lmstState is the memo of one LMSTGA run.
-type lmstState struct {
-	vg   *graph.WGraph
-	kept map[int][]int // head -> on-tree neighbor heads of its local MST
 }
 
 // NumGateways returns the number of distinct gateway nodes.
@@ -142,7 +129,7 @@ func RunCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo Alg
 			return nil, err
 		}
 	}
-	return runSelected(ctx, fg, c, sel, algo, s, nil, nil, nil)
+	return runSelected(ctx, fg, c, sel, algo, s, nil, nil)
 }
 
 // RunSelectedPar runs the gateway-selection stage for algo over an
@@ -167,17 +154,19 @@ func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c 
 	if fg == nil {
 		fg = graph.Flatten(g)
 	}
-	return runSelected(ctx, fg, c, sel, algo, s, nil, nil, pool)
+	return runSelected(ctx, fg, c, sel, algo, s, nil, pool)
 }
 
 // RunSelectedFrom is RunSelectedPar for incremental repair: it re-runs
 // gateway selection after a local topology change, reusing from prev the
-// gateway paths of virtual links the change did not touch. A cached path
-// is kept when the link is still selected, neither endpoint head is in
-// dirty (the head set whose neighborhoods the repair invalidated), and
-// every edge of the path still exists in g — so after events touching a
-// few heads, only links incident to those heads (or with severed paths)
-// pay for a fresh shortest-path computation, the §3.3 locality argument.
+// gateway paths of virtual links the change did not touch. Those paths
+// are all it takes from prev; every later step runs as in
+// RunSelectedPar. A cached path is kept when the link is still
+// selected, neither endpoint head is in dirty (the head set whose
+// neighborhoods the repair invalidated), and every edge of the path
+// still exists in g — so after events touching a few heads, only links
+// incident to those heads (or with severed paths) pay for a fresh
+// shortest-path computation, the §3.3 locality argument.
 //
 // Reused paths were shortest when first computed; a later Join can
 // introduce a shorter alternative that only a full re-run would find.
@@ -191,14 +180,10 @@ func RunSelectedFrom(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c
 		fg = graph.Flatten(g)
 	}
 	var cache map[[2]int][]int
-	var prevLMST *lmstState
-	if prev != nil {
-		prevLMST = prev.lmst
-		if algo != GMST {
-			cache = reusablePaths(g, prev, dirty)
-		}
+	if prev != nil && algo != GMST {
+		cache = reusablePaths(g, prev, dirty)
 	}
-	return runSelected(ctx, fg, c, sel, algo, s, cache, prevLMST, nil)
+	return runSelected(ctx, fg, c, sel, algo, s, cache, nil)
 }
 
 // reusablePaths returns the paths of prev that a re-run on g may reuse,
@@ -217,12 +202,12 @@ func reusablePaths(g *graph.Graph, prev *Result, dirty map[int]bool) map[[2]int]
 	return cache
 }
 
-func runSelected(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, cache map[[2]int][]int, prev *lmstState, pool *partition.Pool) (*Result, error) {
+func runSelected(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*Result, error) {
 	switch algo {
 	case NCMesh, ACMesh:
 		return meshCtx(ctx, fg, c, sel, algo, s, cache, pool)
 	case NCLMST, ACLMST:
-		return lmstCtx(ctx, fg, c, sel, algo, KeepUnion, s, cache, prev, pool)
+		return lmstCtx(ctx, fg, c, sel, algo, KeepUnion, s, cache, pool)
 	case GMST:
 		return globalMSTCtx(ctx, fg, c, s, pool)
 	default:
@@ -352,24 +337,14 @@ func (k KeepRule) String() string {
 // local MST, and keeps the virtual links from u to its on-tree
 // neighbors. Gateways are the intermediate nodes of kept links.
 func LMST(g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, keep KeepRule) *Result {
-	res, _ := lmstCtx(context.Background(), graph.Flatten(g), c, sel, label, keep, nil, nil, nil, nil)
+	res, _ := lmstCtx(context.Background(), graph.Flatten(g), c, sel, label, keep, nil, nil, nil)
 	return res
 }
 
-func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, keep KeepRule, s *graph.Scratch, cache map[[2]int][]int, prev *lmstState, pool *partition.Pool) (*Result, error) {
+func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, keep KeepRule, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*Result, error) {
 	vg, paths, err := virtualGraphCtx(ctx, fg, sel, s, cache, pool)
 	if err != nil {
 		return nil, err
-	}
-
-	// A head's local MST depends only on the virtual links among itself
-	// and its virtual neighbors, so an incremental re-run recomputes only
-	// heads whose local view differs from the memoized previous run and
-	// reuses everyone else's kept set verbatim.
-	incremental := prev != nil && prev.vg != nil
-	var changed map[int]bool
-	if incremental {
-		changed = changedHeads(prev.vg, vg)
 	}
 
 	// Each head's local MST reads only its own neighborhood of the (now
@@ -377,20 +352,12 @@ func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, se
 	// decisions shard across the pool, each shard writing its own slots.
 	verts := vg.Vertices()
 	onTreeOf := make([][]int, len(verts))
-	localMST := func(u int) []int {
-		if incremental && !changed[u] {
-			return prev.kept[u]
-		}
-		local := append([]int{u}, vg.Neighbors(u)...)
-		sub := vg.Subgraph(local)
-		return sub.MSTRooted(u)
-	}
 	err = pool.Shard(ctx, len(verts), s, func(_ int, _ *graph.Scratch, r partition.Range) error {
 		for i := r.Start; i < r.End; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			onTreeOf[i] = localMST(verts[i])
+			onTreeOf[i] = vg.LocalMST(verts[i])
 		}
 		return nil
 	})
@@ -400,9 +367,7 @@ func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, se
 
 	// keepVotes[link] counts how many endpoints kept the link (1 or 2).
 	keepVotes := make(map[[2]int]int)
-	kept := make(map[int][]int, vg.NumVertices())
 	for i, u := range verts {
-		kept[u] = onTreeOf[i]
 		for _, v := range onTreeOf[i] {
 			keepVotes[canon(u, v)]++
 		}
@@ -418,59 +383,8 @@ func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, se
 			res.addLink(link[0], link[1], paths[link])
 		}
 	}
-	res.lmst = &lmstState{vg: vg, kept: kept}
 	res.finish(c)
 	return res, nil
-}
-
-// changedHeads returns the heads whose local LMST view differs between
-// two virtual graphs: the endpoints of every added, removed, or
-// reweighted virtual link, plus every head adjacent (in either graph) to
-// both endpoints of such a link — the link lies inside that head's local
-// subgraph even though it is not incident to it.
-func changedHeads(oldVG, newVG *graph.WGraph) map[int]bool {
-	oldEdges := make(map[[2]int]int)
-	for _, e := range oldVG.Edges() {
-		oldEdges[[2]int{e.U, e.V}] = e.Weight
-	}
-	newEdges := make(map[[2]int]bool)
-	var diffs [][2]int
-	for _, e := range newVG.Edges() {
-		link := [2]int{e.U, e.V}
-		newEdges[link] = true
-		if w, ok := oldEdges[link]; !ok || w != e.Weight {
-			diffs = append(diffs, link)
-		}
-	}
-	// Removed links, in the old graph's deterministic edge order (a map
-	// range here would feed diffs in randomized key order).
-	for _, e := range oldVG.Edges() {
-		if link := [2]int{e.U, e.V}; !newEdges[link] {
-			diffs = append(diffs, link)
-		}
-	}
-
-	changed := make(map[int]bool, 2*len(diffs))
-	markCommon := func(vg *graph.WGraph, a, b int) {
-		if !vg.HasVertex(a) || !vg.HasVertex(b) {
-			return
-		}
-		for _, u := range vg.Neighbors(a) {
-			if u == b {
-				continue
-			}
-			if _, ok := vg.Weight(u, b); ok {
-				changed[u] = true
-			}
-		}
-	}
-	for _, link := range diffs {
-		changed[link[0]] = true
-		changed[link[1]] = true
-		markCommon(oldVG, link[0], link[1])
-		markCommon(newVG, link[0], link[1])
-	}
-	return changed
 }
 
 // GlobalMST computes the centralized lower-bound baseline: a minimum

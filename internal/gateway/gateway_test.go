@@ -356,8 +356,8 @@ func TestWuLouSelectionConnects(t *testing.T) {
 
 // TestRunSelectedFromMatchesFullRun: with an unchanged graph and no
 // dirty heads, the incremental entry point must reproduce the full run
-// exactly — every cached path is intact and every memoized local MST
-// decision is reused as-is.
+// exactly — every cached path is intact and is reused as-is, and the
+// local MSTs over the same virtual graph make the same decisions.
 func TestRunSelectedFromMatchesFullRun(t *testing.T) {
 	for _, algo := range Algorithms {
 		g, c := testInstance(t, 90, 7, 2, 211)
@@ -389,11 +389,13 @@ func ruleOf(algo Algorithm) ncr.Rule {
 	}
 }
 
-// TestRunSelectedFromAfterRemoval: sever a gateway's edges, reselect,
-// and re-run incrementally. Links whose paths broke (or touch dirty
-// heads) are recomputed; the repaired structure passes the same
-// invariants as a fresh run, and its kept LMST decisions match a run
-// without the memo (same virtual graph ⇒ same local MSTs).
+// TestRunSelectedFromAfterRemoval: sever a gateway's edges and re-run
+// incrementally over the same selection. Links whose paths broke (or
+// touch dirty heads) are recomputed and the rest reuse their cached
+// paths. On a removal-only change that is exact: an intact path that was
+// the min-ID shortest path still is one, since removing edges neither
+// shortens a route nor adds a lower-ID parent. So the repaired Result
+// must equal a fresh run on the severed graph.
 func TestRunSelectedFromAfterRemoval(t *testing.T) {
 	for _, algo := range []Algorithm{ACLMST, NCLMST, ACMesh} {
 		g, c := testInstance(t, 90, 7, 2, 223)
@@ -417,18 +419,20 @@ func TestRunSelectedFromAfterRemoval(t *testing.T) {
 				}
 			}
 		}
+		if reused := len(reusablePaths(g, before, dirty)); reused == 0 || reused == len(before.Paths) {
+			t.Fatalf("%v: %d of %d paths reusable; want some but not all", algo, reused, len(before.Paths))
+		}
 		inc, err := RunSelectedFrom(context.Background(), g, nil, c, sel, algo, nil, before, dirty)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The memo must not change the outcome: a run with the same
-		// inputs but no previous state is the ground truth.
-		cold, err := RunSelectedFrom(context.Background(), g, nil, c, sel, algo, nil, &Result{Paths: before.Paths}, dirty)
+		fresh, err := RunSelectedPar(context.Background(), g, nil, c, sel, algo, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(inc.Gateways, cold.Gateways) || !reflect.DeepEqual(inc.Paths, cold.Paths) {
-			t.Fatalf("%v: memoized incremental run diverged from the memo-free run", algo)
+		if !reflect.DeepEqual(inc.Gateways, fresh.Gateways) || !reflect.DeepEqual(inc.Paths, fresh.Paths) ||
+			!reflect.DeepEqual(inc.CDS, fresh.CDS) {
+			t.Fatalf("%v: incremental repair diverged from a fresh run on the severed graph", algo)
 		}
 		// No reused path may traverse the severed node.
 		for link, path := range inc.Paths {

@@ -49,20 +49,6 @@ func (w *WGraph) ShortestPath(src, dst int) []int {
 	return path
 }
 
-// PathWeight sums the weights along a vertex path, returning false if
-// any consecutive pair is not an edge.
-func (w *WGraph) PathWeight(path []int) (int, bool) {
-	total := 0
-	for i := 0; i+1 < len(path); i++ {
-		wt, ok := w.Weight(path[i], path[i+1])
-		if !ok {
-			return 0, false
-		}
-		total += wt
-	}
-	return total, true
-}
-
 type vertexDist struct {
 	v, d int
 }

@@ -155,32 +155,6 @@ func (w *WGraph) Edges() []WEdge {
 	return out
 }
 
-// Subgraph returns the subgraph induced on keep (edges with both
-// endpoints in keep). Vertices in keep missing from w are ignored.
-func (w *WGraph) Subgraph(keep []int) *WGraph {
-	in := make(map[int]bool, len(keep))
-	for _, v := range keep {
-		if w.HasVertex(v) {
-			in[v] = true
-		}
-	}
-	s := NewWGraph()
-	for v := range in {
-		s.AddVertex(v)
-	}
-	for u, edges := range w.adj {
-		if !in[u] {
-			continue
-		}
-		for _, e := range edges {
-			if u < e.V && in[e.V] {
-				s.AddEdge(u, e.V, e.Weight)
-			}
-		}
-	}
-	return s
-}
-
 // Connected reports whether w is connected (true for ≤ 1 vertices).
 func (w *WGraph) Connected() bool {
 	if len(w.adj) <= 1 {
@@ -243,18 +217,37 @@ func (w *WGraph) MST() []WEdge {
 	return result
 }
 
-// MSTRooted computes the MST of w (which must be connected for a
-// meaningful result) and returns, for the given root, the set of on-tree
-// neighbor vertices of root. This is the LMST primitive: node u keeps
-// exactly its on-tree neighbors of the local MST rooted at itself.
-func (w *WGraph) MSTRooted(root int) []int {
+// LocalMST returns, sorted, u's on-tree neighbors in the minimum
+// spanning tree of the subgraph induced on u's closed neighborhood
+// {u} ∪ N(u). This is the LMST primitive: node u keeps exactly these
+// neighbors. It runs Prim from u over the closed neighborhood only, so
+// it reads u's neighbors' adjacency and nothing else of w. The edge
+// order of WEdge.Less is total, so the tree is unique and starting Prim
+// at u does not change it.
+func (w *WGraph) LocalMST(u int) []int {
+	// inTree holds exactly the closed neighborhood; true once in the tree.
+	inTree := make(map[int]bool, len(w.adj[u])+1)
+	inTree[u] = true
+	pq := &edgeHeap{}
+	for _, e := range w.adj[u] {
+		inTree[e.V] = false
+		heap.Push(pq, e)
+	}
 	var out []int
-	for _, e := range w.MST() {
-		switch root {
-		case e.U:
+	for added := 1; pq.Len() > 0 && added < len(inTree); {
+		e := heap.Pop(pq).(WEdge)
+		if inTree[e.V] {
+			continue
+		}
+		inTree[e.V] = true
+		added++
+		if e.U == u {
 			out = append(out, e.V)
-		case e.V:
-			out = append(out, e.U)
+		}
+		for _, f := range w.adj[e.V] {
+			if in, local := inTree[f.V]; local && !in {
+				heap.Push(pq, f)
+			}
 		}
 	}
 	sort.Ints(out)

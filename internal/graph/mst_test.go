@@ -104,23 +104,6 @@ func TestWGraphEdgesSorted(t *testing.T) {
 	}
 }
 
-func TestWGraphSubgraph(t *testing.T) {
-	w := NewWGraph()
-	w.AddEdge(1, 2, 1)
-	w.AddEdge(2, 3, 2)
-	w.AddEdge(3, 1, 3)
-	s := w.Subgraph([]int{1, 2, 42})
-	if s.NumVertices() != 2 {
-		t.Fatalf("vertices=%v", s.Vertices())
-	}
-	if _, ok := s.Weight(1, 2); !ok {
-		t.Fatal("edge (1,2) missing")
-	}
-	if _, ok := s.Weight(2, 3); ok {
-		t.Fatal("edge (2,3) should be cut")
-	}
-}
-
 func TestWGraphConnected(t *testing.T) {
 	w := NewWGraph()
 	if !w.Connected() {
@@ -247,26 +230,30 @@ func TestMSTForest(t *testing.T) {
 	}
 }
 
-func TestMSTRooted(t *testing.T) {
+func TestLocalMST(t *testing.T) {
 	// Star with distinct weights: center keeps all leaves, leaves keep
 	// only the center.
 	w := NewWGraph()
 	w.AddEdge(0, 1, 1)
 	w.AddEdge(0, 2, 2)
 	w.AddEdge(0, 3, 3)
-	if got := w.MSTRooted(0); !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("MSTRooted(0)=%v", got)
+	if got := w.LocalMST(0); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("LocalMST(0)=%v", got)
 	}
-	if got := w.MSTRooted(2); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("MSTRooted(2)=%v", got)
+	if got := w.LocalMST(2); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("LocalMST(2)=%v", got)
 	}
 	// Triangle: heaviest edge excluded.
 	tri := NewWGraph()
 	tri.AddEdge(0, 1, 1)
 	tri.AddEdge(1, 2, 2)
 	tri.AddEdge(0, 2, 3)
-	if got := tri.MSTRooted(0); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("triangle MSTRooted(0)=%v", got)
+	if got := tri.LocalMST(0); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("triangle LocalMST(0)=%v", got)
+	}
+	// An absent vertex keeps nothing.
+	if got := tri.LocalMST(99); got != nil {
+		t.Fatalf("absent LocalMST(99)=%v", got)
 	}
 }
 

@@ -276,9 +276,10 @@ func (p *nbrSetPhase) Step(env *sim.Env, in []sim.Message) {
 // keptLinks computes which virtual links this head keeps.
 //
 // For the mesh scheme every selected neighbor is kept. For LMSTGA the
-// head builds the virtual subgraph induced on {u} ∪ N(u) — its own links
-// from sel, links among neighbors from their nbrSet broadcasts — computes
-// the unique local MST rooted at itself, and keeps its on-tree neighbors.
+// head builds its closed virtual neighborhood {u} ∪ N(u) — its own links
+// from sel, links among neighbors from their nbrSet broadcasts — and
+// keeps its on-tree neighbors of the unique local MST (WGraph.LocalMST,
+// the primitive the centralized pipeline runs on the whole virtual graph).
 func (s *nodeState) keptLinks(sel map[int]int, useLMST bool) []int {
 	if !useLMST {
 		out := make([]int, 0, len(sel))
@@ -303,7 +304,7 @@ func (s *nodeState) keptLinks(sel map[int]int, useLMST bool) []int {
 			}
 		}
 	}
-	return vg.MSTRooted(s.id)
+	return vg.LocalMST(s.id)
 }
 
 // --- Phase 5: gateway marking -------------------------------------------
