@@ -401,13 +401,7 @@ func globalMSTCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clusterin
 	if err != nil {
 		return nil, err
 	}
-	vg := graph.NewWGraph()
-	for i, u := range c.Heads {
-		vg.AddVertex(u)
-		for _, e := range dists[i] {
-			vg.AddEdge(e.U, e.V, e.Weight)
-		}
-	}
+	vg := graph.NewWGraph(c.Heads, dists)
 	res := newResult(GMST)
 	// Paths are only materialized for the |H|-1 chosen tree edges; the
 	// deterministic tie-breaking makes the path independent of when it is
@@ -429,16 +423,24 @@ func globalMSTCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clusterin
 	return res, nil
 }
 
-// headDistRows computes, for every head, its hop distances to all later
-// heads (rows hold only u < v pairs, ascending by the far head): row i
-// is what a whole-graph BFS from heads[i] sees of heads[i+1:]. This is
-// the BFS-dominated pass of G-MST. The rows come from unbounded
-// multi-source sweeps, 64 heads per frontier pass, the head list cut
-// into graph-locality blocks (FlatGraph.LocalityOrder) so each sweep's
-// sources share their frontiers; blocks shard across the pool, each
-// shard owning its rows. Each row is then sorted by the far head.
-func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *graph.Scratch, pool *partition.Pool) ([][]graph.WEdge, error) {
-	dists := make([][]graph.WEdge, len(heads))
+// headDistRows computes the hop distance of every connected pair of
+// heads, as edges (heads[i], heads[j], d) for i < j, ordered by i and
+// then by the far head: row i is what a whole-graph BFS from heads[i] sees of
+// heads[i+1:]. This is the BFS-dominated pass of G-MST. The rows come
+// from unbounded multi-source sweeps, 64 heads per frontier pass, the
+// head list cut into graph-locality blocks (FlatGraph.LocalityOrder) so
+// each sweep's sources share their frontiers; blocks shard across the
+// pool, each shard owning its rows. Each row fills its own slots of one
+// triangular buffer and is sorted by the far head, and the rows are then
+// packed in place, so the distances are held once.
+func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *graph.Scratch, pool *partition.Pool) ([]graph.WEdge, error) {
+	h := len(heads)
+	buf := make([]graph.WEdge, h*(h-1)/2)
+	rows := make([][]graph.WEdge, h)
+	for i, at := 0, 0; i < h; i++ {
+		rows[i] = buf[at : at : at+h-1-i]
+		at += h - 1 - i
+	}
 	perm := fg.LocalityOrder(heads)
 	headIdx := make([]int32, fg.N()) // headIdx[v] = index of v in heads, -1 for non-heads
 	for v := range headIdx {
@@ -464,14 +466,14 @@ func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *grap
 				}
 				graph.EachBit(mask, func(i int) {
 					if iu := idxs[i]; iu < int(j) {
-						dists[iu] = append(dists[iu], graph.WEdge{U: block[i], V: v, Weight: d})
+						rows[iu] = append(rows[iu], graph.WEdge{U: block[i], V: v, Weight: d})
 					}
 				})
 				return true
 			})
 		}
 		for _, pi := range perm[r.Start:r.End] {
-			row := dists[pi]
+			row := rows[pi]
 			sort.Slice(row, func(a, b int) bool { return row[a].V < row[b].V })
 		}
 		return nil
@@ -479,39 +481,40 @@ func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *grap
 	if err != nil {
 		return nil, err
 	}
-	return dists, nil
-}
-
-// VirtualGraph builds the weighted virtual graph of a neighbor selection:
-// vertices are clusterheads, edges are selected pairs weighted by the hop
-// distance of the deterministic shortest path between the heads. It also
-// returns the underlying path of each virtual link keyed by canonical
-// pair.
-func VirtualGraph(g *graph.Graph, sel *ncr.Selection) (*graph.WGraph, map[[2]int][]int) {
-	vg, paths, _ := virtualGraphCtx(context.Background(), graph.Flatten(g), sel, nil, nil, nil)
-	return vg, paths
-}
-
-func virtualGraphCtx(ctx context.Context, fg *graph.FlatGraph, sel *ncr.Selection, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*graph.WGraph, map[[2]int][]int, error) {
-	vg := graph.NewWGraph()
-	for h := range sel.Neighbors {
-		vg.AddVertex(h)
+	n := 0
+	for _, row := range rows {
+		n += copy(buf[n:], row)
 	}
+	return buf[:n], nil
+}
+
+// virtualGraphCtx builds the weighted virtual graph of a neighbor
+// selection: vertices are clusterheads, edges are selected pairs weighted
+// by the hop distance of the deterministic shortest path between the
+// heads. It also returns the underlying path of each virtual link keyed
+// by canonical pair.
+func virtualGraphCtx(ctx context.Context, fg *graph.FlatGraph, sel *ncr.Selection, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*graph.WGraph, map[[2]int][]int, error) {
 	pairs := sel.Pairs()
 	pairPaths, err := shortestPaths(ctx, fg, pairs, s, cache, pool)
 	if err != nil {
 		return nil, nil, err
 	}
+	heads := make([]int, 0, len(sel.Neighbors))
+	for h := range sel.Neighbors {
+		heads = append(heads, h)
+	}
+	sort.Ints(heads)
+	edges := make([]graph.WEdge, 0, len(pairs))
 	paths := make(map[[2]int][]int)
 	for i, pair := range pairs {
 		path := pairPaths[i]
 		if path == nil {
 			continue
 		}
-		vg.AddEdge(pair[0], pair[1], len(path)-1)
+		edges = append(edges, graph.WEdge{U: pair[0], V: pair[1], Weight: len(path) - 1})
 		paths[pair] = path
 	}
-	return vg, paths, nil
+	return graph.NewWGraph(heads, edges), paths, nil
 }
 
 func canon(u, v int) [2]int {

@@ -263,18 +263,29 @@ func TestGMSTLowerBoundTendency(t *testing.T) {
 func TestVirtualGraphWeights(t *testing.T) {
 	g, c := testInstance(t, 70, 6, 2, 31)
 	sel := ncr.ANCR(g, c)
-	vg, paths := VirtualGraph(g, sel)
-	for _, e := range vg.Edges() {
-		if want := g.HopDist(e.U, e.V); e.Weight != want {
-			t.Fatalf("virtual link %v weight %d, hop distance %d", e, e.Weight, want)
+	vg, paths, err := virtualGraphCtx(context.Background(), graph.Flatten(g), sel, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vg.Vertices(); !reflect.DeepEqual(got, c.Heads) {
+		t.Fatalf("virtual graph vertices %v, heads %v", got, c.Heads)
+	}
+	if len(paths) != sel.NumPairs() {
+		t.Fatalf("%d virtual links for %d selected pairs", len(paths), sel.NumPairs())
+	}
+	for link, path := range paths {
+		if want := g.HopDist(link[0], link[1]); len(path)-1 != want {
+			t.Fatalf("virtual link %v path length %d, hop distance %d", link, len(path)-1, want)
 		}
-		path := paths[[2]int{e.U, e.V}]
-		if len(path)-1 != e.Weight {
-			t.Fatalf("virtual link %v path length %d", e, len(path)-1)
+		if path[0] != link[0] || path[len(path)-1] != link[1] {
+			t.Fatalf("virtual link %v path %v", link, path)
 		}
 	}
-	if vg.NumVertices() != len(c.Heads) {
-		t.Fatalf("virtual graph has %d vertices, %d heads", vg.NumVertices(), len(c.Heads))
+	// The graph stores those hop counts: each tree edge weighs its path.
+	for _, e := range vg.MST() {
+		if path := paths[[2]int{e.U, e.V}]; e.Weight != len(path)-1 {
+			t.Fatalf("virtual link %v weight %d, path %v", e, e.Weight, path)
+		}
 	}
 }
 

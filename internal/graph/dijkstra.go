@@ -1,75 +1,97 @@
 package graph
 
-import "container/heap"
-
 // ShortestPath returns the minimum-total-weight path between two
 // vertices of a weighted graph, inclusive of endpoints, or nil when dst
-// is unreachable. Ties are broken deterministically by preferring
-// smaller predecessor IDs, mirroring Graph.ShortestPath.
+// is unreachable or either end is absent. Ties are broken
+// deterministically by preferring smaller predecessor IDs, mirroring
+// Graph.ShortestPath.
 func (w *WGraph) ShortestPath(src, dst int) []int {
-	if !w.HasVertex(src) || !w.HasVertex(dst) {
+	s, t := w.rank(src), w.rank(dst)
+	if s < 0 || t < 0 {
 		return nil
 	}
-	if src == dst {
+	if s == t {
 		return []int{src}
 	}
 	const inf = int(^uint(0) >> 1)
-	dist := make(map[int]int, len(w.adj))
-	parent := make(map[int]int, len(w.adj))
-	for v := range w.adj {
-		dist[v] = inf
+	dist := make([]int, len(w.ids))
+	parent := make([]int, len(w.ids))
+	for r := range dist {
+		dist[r] = inf
 	}
-	dist[src] = 0
-	pq := &vertexHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		top := heap.Pop(pq).(vertexDist)
-		if top.d > dist[top.v] {
+	dist[s] = 0
+	pq := rankHeap{{r: s, d: 0}}
+	for len(pq) > 0 {
+		top := pq.pop()
+		if top.d > dist[top.r] {
 			continue // stale entry
 		}
-		if top.v == dst {
+		if top.r == t {
 			break
 		}
-		for _, e := range w.adj[top.v] {
-			nd := top.d + e.Weight
-			if nd < dist[e.V] || (nd == dist[e.V] && top.v < parent[e.V]) {
-				dist[e.V] = nd
-				parent[e.V] = top.v
-				heap.Push(pq, vertexDist{v: e.V, d: nd})
+		for _, a := range w.row(top.r) {
+			v, nd := int(a.to), top.d+int(a.weight)
+			if nd < dist[v] || (nd == dist[v] && top.r < parent[v]) {
+				dist[v] = nd
+				parent[v] = top.r
+				pq.push(rankDist{r: v, d: nd})
 			}
 		}
 	}
-	if dist[dst] == inf {
+	if dist[t] == inf {
 		return nil
 	}
 	path := []int{dst}
-	for cur := dst; cur != src; cur = parent[cur] {
-		path = append(path, parent[cur])
+	for cur := t; cur != s; cur = parent[cur] {
+		path = append(path, w.ids[parent[cur]])
 	}
 	reverse(path)
 	return path
 }
 
-type vertexDist struct {
-	v, d int
+type rankDist struct {
+	r, d int
 }
 
-type vertexHeap []vertexDist
+func (a rankDist) before(b rankDist) bool {
+	return a.d < b.d || (a.d == b.d && a.r < b.r)
+}
 
-func (h vertexHeap) Len() int { return len(h) }
-func (h vertexHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
+// rankHeap is a binary min-heap ordered by (distance, rank).
+type rankHeap []rankDist
+
+func (h *rankHeap) push(x rankDist) {
+	q := append(*h, x)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return h[i].v < h[j].v
+	*h = q
 }
-func (h vertexHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *vertexHeap) Push(x any) { *h = append(*h, x.(vertexDist)) }
-
-func (h *vertexHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *rankHeap) pop() rankDist {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }

@@ -1,8 +1,9 @@
 // Package graph implements the undirected-graph substrate used by the
 // clustering and gateway-selection algorithms: adjacency storage, BFS and
 // k-hop neighborhoods, hop-count shortest paths with deterministic ID tie
-// breaking, connected components, Prim's minimum spanning tree, and a
-// union-find structure.
+// breaking, connected components, a union-find structure, and the
+// immutable weighted virtual graph (WGraph) with its Kruskal minimum
+// spanning trees and Dijkstra shortest paths.
 //
 // Vertices are dense integer IDs 0..N-1, matching node IDs of the network
 // simulator. All distances are hop counts unless stated otherwise.

@@ -1,8 +1,9 @@
 package graph
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,16 +20,12 @@ type WEdge struct {
 // link can be used to break a tie in hop count". A total order makes the
 // minimum spanning tree unique, which both LMST's connectivity proof and
 // our distributed/centralized equivalence tests rely on.
-func (e WEdge) Less(f WEdge) bool {
-	if e.Weight != f.Weight {
-		return e.Weight < f.Weight
-	}
+func (e WEdge) Less(f WEdge) bool { return e.compare(f) < 0 }
+
+func (e WEdge) compare(f WEdge) int {
 	eu, ev := ordered(e.U, e.V)
 	fu, fv := ordered(f.U, f.V)
-	if eu != fu {
-		return eu < fu
-	}
-	return ev < fv
+	return cmp.Or(cmp.Compare(e.Weight, f.Weight), cmp.Compare(eu, fu), cmp.Compare(ev, fv))
 }
 
 func ordered(a, b int) (int, int) {
@@ -38,234 +35,190 @@ func ordered(a, b int) (int, int) {
 	return b, a
 }
 
-// canonical returns the edge with U ≤ V so that the same undirected edge
-// always compares and hashes identically.
-func (e WEdge) canonical() WEdge {
-	e.U, e.V = ordered(e.U, e.V)
-	return e
-}
-
 // SortWEdges sorts edges by the total order of Less.
 func SortWEdges(edges []WEdge) {
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Less(edges[j]) })
+	slices.SortFunc(edges, WEdge.compare)
 }
 
-// WGraph is a weighted undirected graph over an arbitrary (sparse) vertex
-// set, used for the virtual clusterhead graphs. Unlike Graph it does not
-// require dense 0..N-1 vertex IDs.
+// WGraph is an immutable weighted undirected graph over a sparse vertex
+// set, used for the virtual clusterhead graphs. A vertex is addressed by
+// its rank in the sorted ID list, and its neighbors sit in one CSR row,
+// ascending by rank, with int32 weights. Rank order is ID order, so the
+// ID tie-breaks of WEdge.Less and ShortestPath read the same on ranks.
 type WGraph struct {
-	adj map[int][]WEdge // adjacency: vertex -> incident edges (U = vertex)
+	ids  []int // sorted vertex IDs; rank r is ids[r]
+	off  []int // row r is arcs[off[r]:off[r+1]]
+	arcs []arc
 }
 
-// NewWGraph returns an empty weighted graph.
-func NewWGraph() *WGraph {
-	return &WGraph{adj: make(map[int][]WEdge)}
+// arc is one direction of an edge: the far endpoint's rank and the weight.
+type arc struct {
+	to, weight int32
 }
 
-// AddVertex ensures v exists even if isolated.
-func (w *WGraph) AddVertex(v int) {
-	if _, ok := w.adj[v]; !ok {
-		w.adj[v] = nil
-	}
-}
-
-// AddEdge inserts the undirected edge (u, v, weight). Re-adding an
-// existing edge keeps the smaller weight.
-func (w *WGraph) AddEdge(u, v, weight int) {
-	if u == v {
-		panic(fmt.Sprintf("wgraph: self-loop at %d", u))
-	}
-	if cur, ok := w.Weight(u, v); ok {
-		if weight >= cur {
-			return
+// NewWGraph builds the graph over verts plus every edge endpoint. An edge
+// given more than once, in either orientation, keeps its smallest weight.
+// A self-loop panics. The inputs are not retained.
+func NewWGraph(verts []int, edges []WEdge) *WGraph {
+	ids := slices.Clone(verts)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	ends, all := endRanks(ids, edges)
+	if !all {
+		for _, e := range edges {
+			ids = append(ids, e.U, e.V)
 		}
-		w.removeEdge(u, v)
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		ends, _ = endRanks(ids, edges)
 	}
-	w.AddVertex(u)
-	w.AddVertex(v)
-	w.adj[u] = append(w.adj[u], WEdge{U: u, V: v, Weight: weight})
-	w.adj[v] = append(w.adj[v], WEdge{U: v, V: u, Weight: weight})
-}
+	w := &WGraph{ids: ids, off: make([]int, len(ids)+1)}
 
-func (w *WGraph) removeEdge(u, v int) {
-	w.adj[u] = filterOut(w.adj[u], v)
-	w.adj[v] = filterOut(w.adj[v], u)
-}
-
-func filterOut(edges []WEdge, v int) []WEdge {
-	out := edges[:0]
-	for _, e := range edges {
-		if e.V != v {
-			out = append(out, e)
+	// Counting sort of both directions of every edge into rows, then
+	// each row sorted by (neighbor, weight) and packed in place to its
+	// first, lightest, arc per neighbor.
+	for _, r := range ends {
+		w.off[r+1]++
+	}
+	for r := range ids {
+		w.off[r+1] += w.off[r]
+	}
+	next := slices.Clone(w.off[:len(ids)])
+	w.arcs = make([]arc, 2*len(edges))
+	for i, e := range edges {
+		u, v := ends[2*i], ends[2*i+1]
+		w.arcs[next[u]] = arc{to: v, weight: int32(e.Weight)}
+		next[u]++
+		w.arcs[next[v]] = arc{to: u, weight: int32(e.Weight)}
+		next[v]++
+	}
+	n := 0
+	for r := range ids {
+		row := w.arcs[w.off[r]:w.off[r+1]]
+		slices.SortFunc(row, func(a, b arc) int {
+			return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.weight, b.weight))
+		})
+		w.off[r] = n
+		for _, a := range row {
+			if n == w.off[r] || w.arcs[n-1].to != a.to {
+				w.arcs[n] = a
+				n++
+			}
 		}
 	}
-	return out
+	w.off[len(ids)] = n
+	w.arcs = w.arcs[:n]
+	return w
 }
 
-// Weight returns the weight of edge (u, v) and whether it exists.
-func (w *WGraph) Weight(u, v int) (int, bool) {
-	for _, e := range w.adj[u] {
-		if e.V == v {
-			return e.Weight, true
+// endRanks returns the ranks in ids of edge i's endpoints at 2i (U) and
+// 2i+1 (V), and whether ids holds every endpoint.
+func endRanks(ids []int, edges []WEdge) ([]int32, bool) {
+	ends := make([]int32, 2*len(edges))
+	all := true
+	for i, e := range edges {
+		if e.U == e.V {
+			panic(fmt.Sprintf("wgraph: self-loop at %d", e.U))
 		}
+		u, okU := slices.BinarySearch(ids, e.U)
+		v, okV := slices.BinarySearch(ids, e.V)
+		ends[2*i], ends[2*i+1] = int32(u), int32(v)
+		all = all && okU && okV
 	}
-	return 0, false
+	return ends, all
 }
 
-// HasVertex reports whether v is present.
-func (w *WGraph) HasVertex(v int) bool {
-	_, ok := w.adj[v]
-	return ok
+// rank returns v's rank, or -1 when v is not a vertex.
+func (w *WGraph) rank(v int) int {
+	if r, ok := slices.BinarySearch(w.ids, v); ok {
+		return r
+	}
+	return -1
 }
+
+func (w *WGraph) row(r int) []arc { return w.arcs[w.off[r]:w.off[r+1]] }
 
 // Vertices returns the sorted vertex set.
-func (w *WGraph) Vertices() []int {
-	out := make([]int, 0, len(w.adj))
-	for v := range w.adj {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
+func (w *WGraph) Vertices() []int { return slices.Clone(w.ids) }
 
-// NumVertices returns the number of vertices.
-func (w *WGraph) NumVertices() int { return len(w.adj) }
-
-// Neighbors returns the sorted neighbor IDs of u.
-func (w *WGraph) Neighbors(u int) []int {
-	out := make([]int, 0, len(w.adj[u]))
-	for _, e := range w.adj[u] {
-		out = append(out, e.V)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Edges returns every undirected edge once (U < V), sorted by Less.
-func (w *WGraph) Edges() []WEdge {
-	var out []WEdge
-	for u, edges := range w.adj {
-		for _, e := range edges {
-			if u < e.V {
-				out = append(out, e.canonical())
-			}
-		}
-	}
-	SortWEdges(out)
-	return out
-}
-
-// Connected reports whether w is connected (true for ≤ 1 vertices).
-func (w *WGraph) Connected() bool {
-	if len(w.adj) <= 1 {
-		return true
-	}
-	var start int
-	for v := range w.adj {
-		start = v
-		break
-	}
-	seen := map[int]bool{start: true}
-	stack := []int{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range w.adj[u] {
-			if !seen[e.V] {
-				seen[e.V] = true
-				stack = append(stack, e.V)
-			}
-		}
-	}
-	return len(seen) == len(w.adj)
-}
-
-// MST computes the minimum spanning forest of w with Prim's algorithm
+// MST computes the minimum spanning forest of w with Kruskal's algorithm
 // under the total edge order of WEdge.Less, returning the chosen edges in
-// canonical form sorted by Less. Because the order is total, the result
-// is the unique MST of each component.
+// canonical form (U < V) sorted by Less. Because the order is total, the
+// result is the unique MST of each component.
 func (w *WGraph) MST() []WEdge {
-	inTree := make(map[int]bool, len(w.adj))
-	var result []WEdge
-	// Deterministic iteration: start Prim from the smallest unvisited
-	// vertex of each component.
-	for _, start := range w.Vertices() {
-		if inTree[start] {
-			continue
-		}
-		inTree[start] = true
-		pq := &edgeHeap{}
-		heap.Init(pq)
-		for _, e := range w.adj[start] {
-			heap.Push(pq, e)
-		}
-		for pq.Len() > 0 {
-			e := heap.Pop(pq).(WEdge)
-			if inTree[e.V] {
-				continue
-			}
-			inTree[e.V] = true
-			result = append(result, e.canonical())
-			for _, f := range w.adj[e.V] {
-				if !inTree[f.V] {
-					heap.Push(pq, f)
-				}
+	// Edges hold ranks until chosen; rank order is ID order, so they
+	// sort exactly as their ID forms would.
+	edges := make([]WEdge, 0, len(w.arcs)/2)
+	for r := range w.ids {
+		for _, a := range w.row(r) {
+			if int(a.to) > r {
+				edges = append(edges, WEdge{U: r, V: int(a.to), Weight: int(a.weight)})
 			}
 		}
 	}
-	SortWEdges(result)
-	return result
+	SortWEdges(edges)
+	uf := NewUnionFind(len(w.ids))
+	var out []WEdge
+	for _, e := range edges {
+		if uf.Union(e.U, e.V) {
+			out = append(out, WEdge{U: w.ids[e.U], V: w.ids[e.V], Weight: e.Weight})
+		}
+	}
+	return out
 }
 
 // LocalMST returns, sorted, u's on-tree neighbors in the minimum
 // spanning tree of the subgraph induced on u's closed neighborhood
 // {u} ∪ N(u). This is the LMST primitive: node u keeps exactly these
-// neighbors. It runs Prim from u over the closed neighborhood only, so
-// it reads u's neighbors' adjacency and nothing else of w. The edge
-// order of WEdge.Less is total, so the tree is unique and starting Prim
-// at u does not change it.
+// neighbors. It runs Kruskal over the edges among the closed
+// neighborhood only, so it reads the rows of u and its neighbors and
+// nothing else of w. The edge order of WEdge.Less is total, so the tree
+// is unique. An absent u keeps nothing.
 func (w *WGraph) LocalMST(u int) []int {
-	// inTree holds exactly the closed neighborhood; true once in the tree.
-	inTree := make(map[int]bool, len(w.adj[u])+1)
-	inTree[u] = true
-	pq := &edgeHeap{}
-	for _, e := range w.adj[u] {
-		inTree[e.V] = false
-		heap.Push(pq, e)
+	r := w.rank(u)
+	if r < 0 {
+		return nil
 	}
+	// loc is the closed neighborhood in rank order. Local edges name
+	// their endpoints by index into loc, which keeps rank (= ID) order,
+	// so Less sorts them as it would their ID forms.
+	loc := make([]int32, 0, len(w.row(r))+1)
+	for _, a := range w.row(r) {
+		loc = append(loc, a.to)
+	}
+	self, _ := slices.BinarySearch(loc, int32(r))
+	loc = slices.Insert(loc, self, int32(r))
+	var edges []WEdge
+	for i, x := range loc {
+		// Both x's row and loc ascend: one merge finds x's arcs to later
+		// members of the neighborhood.
+		j := i + 1
+		for _, a := range w.row(int(x)) {
+			for j < len(loc) && loc[j] < a.to {
+				j++
+			}
+			if j == len(loc) {
+				break
+			}
+			if loc[j] == a.to {
+				edges = append(edges, WEdge{U: i, V: j, Weight: int(a.weight)})
+			}
+		}
+	}
+	SortWEdges(edges)
+	uf := NewUnionFind(len(loc))
 	var out []int
-	for added := 1; pq.Len() > 0 && added < len(inTree); {
-		e := heap.Pop(pq).(WEdge)
-		if inTree[e.V] {
+	for _, e := range edges {
+		if !uf.Union(e.U, e.V) {
 			continue
 		}
-		inTree[e.V] = true
-		added++
-		if e.U == u {
-			out = append(out, e.V)
-		}
-		for _, f := range w.adj[e.V] {
-			if in, local := inTree[f.V]; local && !in {
-				heap.Push(pq, f)
-			}
+		switch self {
+		case e.U:
+			out = append(out, w.ids[loc[e.V]])
+		case e.V:
+			out = append(out, w.ids[loc[e.U]])
 		}
 	}
 	sort.Ints(out)
 	return out
-}
-
-type edgeHeap []WEdge
-
-func (h edgeHeap) Len() int           { return len(h) }
-func (h edgeHeap) Less(i, j int) bool { return h[i].Less(h[j]) }
-func (h edgeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
-func (h *edgeHeap) Push(x any) { *h = append(*h, x.(WEdge)) }
-
-func (h *edgeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }

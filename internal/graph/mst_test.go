@@ -45,18 +45,12 @@ func TestWEdgeLessIsStrictOrder(t *testing.T) {
 }
 
 func TestWGraphAddEdgeKeepsSmallerWeight(t *testing.T) {
-	w := NewWGraph()
-	w.AddEdge(1, 2, 5)
-	w.AddEdge(2, 1, 3)
-	if got, _ := w.Weight(1, 2); got != 3 {
-		t.Fatalf("weight=%d, want 3", got)
+	w := NewWGraph(nil, []WEdge{{U: 1, V: 2, Weight: 5}, {U: 2, V: 1, Weight: 3}, {U: 1, V: 2, Weight: 9}})
+	if got, want := w.MST(), []WEdge{{U: 1, V: 2, Weight: 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("repeated edge kept %v, want %v", got, want)
 	}
-	w.AddEdge(1, 2, 9)
-	if got, _ := w.Weight(2, 1); got != 3 {
-		t.Fatalf("weight=%d after worse re-add", got)
-	}
-	if _, ok := w.Weight(1, 3); ok {
-		t.Fatal("phantom edge")
+	if got := w.ShortestPath(1, 2); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("ShortestPath=%v", got)
 	}
 }
 
@@ -66,37 +60,37 @@ func TestWGraphSelfLoopPanics(t *testing.T) {
 			t.Fatal("self-loop did not panic")
 		}
 	}()
-	NewWGraph().AddEdge(3, 3, 1)
+	NewWGraph(nil, []WEdge{{U: 3, V: 3, Weight: 1}})
 }
 
 func TestWGraphVerticesAndNeighbors(t *testing.T) {
-	w := NewWGraph()
-	w.AddVertex(9)
-	w.AddEdge(5, 2, 1)
-	w.AddEdge(5, 7, 2)
+	w := NewWGraph([]int{9, 5}, []WEdge{{U: 5, V: 2, Weight: 1}, {U: 5, V: 7, Weight: 2}})
 	if got := w.Vertices(); !reflect.DeepEqual(got, []int{2, 5, 7, 9}) {
 		t.Fatalf("Vertices=%v", got)
 	}
-	if got := w.Neighbors(5); !reflect.DeepEqual(got, []int{2, 7}) {
-		t.Fatalf("Neighbors=%v", got)
+	// A star's center keeps every neighbor in its local MST.
+	if got := w.LocalMST(5); !reflect.DeepEqual(got, []int{2, 7}) {
+		t.Fatalf("LocalMST(5)=%v", got)
 	}
-	if w.NumVertices() != 4 {
-		t.Fatalf("NumVertices=%d", w.NumVertices())
+	if got := w.ShortestPath(2, 7); !reflect.DeepEqual(got, []int{2, 5, 7}) {
+		t.Fatalf("ShortestPath(2,7)=%v", got)
 	}
-	if !w.HasVertex(9) || w.HasVertex(1) {
-		t.Fatal("HasVertex wrong")
+	if w.LocalMST(9) != nil || w.ShortestPath(2, 9) != nil {
+		t.Fatal("isolated vertex 9 has neighbors")
 	}
 }
 
 func TestWGraphEdgesSorted(t *testing.T) {
-	w := NewWGraph()
-	w.AddEdge(4, 5, 9)
-	w.AddEdge(1, 2, 3)
-	w.AddEdge(1, 9, 3)
-	edges := w.Edges()
+	w := NewWGraph(nil, []WEdge{{U: 4, V: 5, Weight: 9}, {U: 2, V: 1, Weight: 3}, {U: 1, V: 9, Weight: 3}})
+	edges := w.MST()
 	for i := 1; i < len(edges); i++ {
 		if edges[i].Less(edges[i-1]) {
 			t.Fatalf("edges unsorted: %v", edges)
+		}
+	}
+	for _, e := range edges {
+		if e.U > e.V {
+			t.Fatalf("edge %v not canonical", e)
 		}
 	}
 	if len(edges) != 3 {
@@ -105,28 +99,27 @@ func TestWGraphEdgesSorted(t *testing.T) {
 }
 
 func TestWGraphConnected(t *testing.T) {
-	w := NewWGraph()
-	if !w.Connected() {
-		t.Fatal("empty graph should be connected")
+	if w := NewWGraph(nil, nil); len(w.Vertices()) != 0 || w.MST() != nil {
+		t.Fatal("empty graph has vertices or edges")
 	}
-	w.AddEdge(1, 2, 1)
-	w.AddEdge(3, 4, 1)
-	if w.Connected() {
+	split := []WEdge{{U: 1, V: 2, Weight: 1}, {U: 3, V: 4, Weight: 1}}
+	if w := NewWGraph(nil, split); w.ShortestPath(1, 4) != nil || len(w.MST()) != 2 {
 		t.Fatal("two components reported connected")
 	}
-	w.AddEdge(2, 3, 1)
-	if !w.Connected() {
+	joined := append(split, WEdge{U: 2, V: 3, Weight: 1})
+	if w := NewWGraph(nil, joined); w.ShortestPath(1, 4) == nil || len(w.MST()) != 3 {
 		t.Fatal("now connected")
 	}
 }
 
-// kruskalWeight is the brute-force oracle: total MST weight via Kruskal.
-func kruskalWeight(w *WGraph) int {
-	edges := w.Edges()
+// kruskalWeight is the brute-force oracle: total MST weight via Kruskal
+// over the raw edge list, repeats included.
+func kruskalWeight(verts []int, edges []WEdge) int {
+	edges = append([]WEdge(nil), edges...)
 	SortWEdges(edges)
 	idx := make(map[int]int)
-	for i, v := range w.Vertices() {
-		idx[v] = i
+	for _, v := range verts {
+		idx[v] = len(idx)
 	}
 	uf := NewUnionFind(len(idx))
 	total := 0
@@ -138,42 +131,46 @@ func kruskalWeight(w *WGraph) int {
 	return total
 }
 
-func randomWGraph(n, extraEdges int, seed int64) *WGraph {
+// randomWGraph returns a random connected vertex and edge list with
+// sparse IDs and repeated edges.
+func randomWGraph(n, extraEdges int, seed int64) (verts []int, edges []WEdge) {
 	rng := rand.New(rand.NewSource(seed))
-	w := NewWGraph()
 	perm := rng.Perm(n)
+	for _, v := range perm {
+		verts = append(verts, v*3) // sparse IDs on purpose
+	}
 	for i := 0; i+1 < n; i++ {
-		w.AddEdge(perm[i]*3, perm[i+1]*3, 1+rng.Intn(20)) // sparse IDs on purpose
+		edges = append(edges, WEdge{U: perm[i] * 3, V: perm[i+1] * 3, Weight: 1 + rng.Intn(20)})
 	}
 	for e := 0; e < extraEdges; e++ {
 		u, v := rng.Intn(n)*3, rng.Intn(n)*3
 		if u != v {
-			w.AddEdge(u, v, 1+rng.Intn(20))
+			edges = append(edges, WEdge{U: u, V: v, Weight: 1 + rng.Intn(20)})
 		}
 	}
-	return w
+	return verts, edges
 }
 
 func TestMSTMatchesKruskal(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		w := randomWGraph(15, 25, seed)
-		mst := w.MST()
-		if len(mst) != w.NumVertices()-1 {
-			t.Fatalf("seed %d: MST has %d edges for %d vertices", seed, len(mst), w.NumVertices())
+		verts, edges := randomWGraph(15, 25, seed)
+		mst := NewWGraph(verts, edges).MST()
+		if len(mst) != len(verts)-1 {
+			t.Fatalf("seed %d: MST has %d edges for %d vertices", seed, len(mst), len(verts))
 		}
 		total := 0
 		for _, e := range mst {
 			total += e.Weight
 		}
-		if want := kruskalWeight(w); total != want {
-			t.Fatalf("seed %d: Prim weight %d ≠ Kruskal weight %d", seed, total, want)
+		if want := kruskalWeight(verts, edges); total != want {
+			t.Fatalf("seed %d: MST weight %d ≠ Kruskal weight %d", seed, total, want)
 		}
 	}
 }
 
 func TestMSTSpansAndIsAcyclic(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		w := randomWGraph(12, 20, seed)
+		w := NewWGraph(randomWGraph(12, 20, seed))
 		mst := w.MST()
 		idx := make(map[int]int)
 		for i, v := range w.Vertices() {
@@ -192,38 +189,31 @@ func TestMSTSpansAndIsAcyclic(t *testing.T) {
 }
 
 // TestMSTUnique exploits the total edge order: the MST must be unique, so
-// Prim's result must be identical to Kruskal's edge set, not just equal
-// in weight.
+// the Kruskal tree must equal the map reference's Prim tree edge for
+// edge, not just in weight. Every LocalMST and ShortestPath must match
+// the reference too, on graphs larger than the fuzz target builds.
 func TestMSTUnique(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		w := randomWGraph(12, 30, seed)
-		prim := w.MST()
-		// Kruskal edge set under the same total order.
-		edges := w.Edges()
-		SortWEdges(edges)
-		idx := make(map[int]int)
-		for i, v := range w.Vertices() {
-			idx[v] = i
+	for seed := int64(0); seed < 40; seed++ {
+		verts, edges := randomWGraph(60, 150, seed)
+		m, w := buildBoth(verts, edges)
+		if got, want := w.MST(), m.MST(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Kruskal %v ≠ Prim %v", seed, got, want)
 		}
-		uf := NewUnionFind(len(idx))
-		var kruskal []WEdge
-		for _, e := range edges {
-			if uf.Union(idx[e.U], idx[e.V]) {
-				kruskal = append(kruskal, e)
+		for _, u := range verts {
+			if got, want := w.LocalMST(u), m.LocalMST(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: LocalMST(%d)=%v, reference %v", seed, u, got, want)
 			}
-		}
-		SortWEdges(kruskal)
-		if !reflect.DeepEqual(prim, kruskal) {
-			t.Fatalf("seed %d: Prim %v ≠ Kruskal %v", seed, prim, kruskal)
+			for _, v := range verts[:10] {
+				if got, want := w.ShortestPath(u, v), m.ShortestPath(u, v); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: ShortestPath(%d,%d)=%v, reference %v", seed, u, v, got, want)
+				}
+			}
 		}
 	}
 }
 
 func TestMSTForest(t *testing.T) {
-	w := NewWGraph()
-	w.AddEdge(0, 1, 1)
-	w.AddEdge(2, 3, 1)
-	w.AddEdge(3, 4, 2)
+	w := NewWGraph(nil, []WEdge{{U: 0, V: 1, Weight: 1}, {U: 2, V: 3, Weight: 1}, {U: 3, V: 4, Weight: 2}})
 	mst := w.MST()
 	if len(mst) != 3 {
 		t.Fatalf("forest MST has %d edges, want 3", len(mst))
@@ -233,10 +223,7 @@ func TestMSTForest(t *testing.T) {
 func TestLocalMST(t *testing.T) {
 	// Star with distinct weights: center keeps all leaves, leaves keep
 	// only the center.
-	w := NewWGraph()
-	w.AddEdge(0, 1, 1)
-	w.AddEdge(0, 2, 2)
-	w.AddEdge(0, 3, 3)
+	w := NewWGraph(nil, []WEdge{{U: 0, V: 1, Weight: 1}, {U: 0, V: 2, Weight: 2}, {U: 0, V: 3, Weight: 3}})
 	if got := w.LocalMST(0); !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Fatalf("LocalMST(0)=%v", got)
 	}
@@ -244,10 +231,7 @@ func TestLocalMST(t *testing.T) {
 		t.Fatalf("LocalMST(2)=%v", got)
 	}
 	// Triangle: heaviest edge excluded.
-	tri := NewWGraph()
-	tri.AddEdge(0, 1, 1)
-	tri.AddEdge(1, 2, 2)
-	tri.AddEdge(0, 2, 3)
+	tri := NewWGraph(nil, []WEdge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 2}, {U: 0, V: 2, Weight: 3}})
 	if got := tri.LocalMST(0); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("triangle LocalMST(0)=%v", got)
 	}
@@ -322,14 +306,17 @@ func TestUnionFindQuick(t *testing.T) {
 }
 
 func TestWGraphNeighborsOfMissingVertex(t *testing.T) {
-	w := NewWGraph()
-	if got := w.Neighbors(42); len(got) != 0 {
-		t.Fatalf("Neighbors of missing vertex = %v", got)
+	w := NewWGraph([]int{7}, nil)
+	if got := w.LocalMST(42); got != nil {
+		t.Fatalf("LocalMST of missing vertex = %v", got)
+	}
+	if w.ShortestPath(42, 7) != nil || w.ShortestPath(7, 42) != nil || w.ShortestPath(42, 42) != nil {
+		t.Fatal("path through missing vertex")
 	}
 }
 
 func TestMSTDeterministicAcrossRuns(t *testing.T) {
-	w := randomWGraph(14, 28, 99)
+	w := NewWGraph(randomWGraph(14, 28, 99))
 	first := w.MST()
 	for i := 0; i < 5; i++ {
 		if got := w.MST(); !reflect.DeepEqual(got, first) {

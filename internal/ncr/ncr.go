@@ -245,27 +245,6 @@ func ancrCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, s *grap
 	return sel, nil
 }
 
-// AdjacentClusterGraph returns the adjacent cluster graph G” as a
-// weighted graph over clusterheads, each edge weighted by the hop
-// distance between the two heads in G. Theorem 1 guarantees it is
-// connected when G is.
-func AdjacentClusterGraph(g *graph.Graph, c *cluster.Clustering) *graph.WGraph {
-	sel := ANCR(g, c)
-	vg := graph.NewWGraph()
-	for _, h := range c.Heads {
-		vg.AddVertex(h)
-	}
-	// One early-exiting scratch BFS per pair: head pairs are close (the
-	// adjacency relation bounds them by 2k+1 hops), so the walk stops at
-	// a small ball instead of computing whole-graph distances per pair.
-	s := graph.NewScratch()
-	for _, p := range sel.Pairs() {
-		d := g.HopDistScratch(s, p[0], p[1])
-		vg.AddEdge(p[0], p[1], d)
-	}
-	return vg
-}
-
 func headSet(c *cluster.Clustering) map[int]bool {
 	m := make(map[int]bool, len(c.Heads))
 	for _, h := range c.Heads {

@@ -59,13 +59,7 @@ func TestWuLouHeadPairGraphConnected(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := testNet(t, 80, 7, 500+seed)
 		c := cluster.Run(g, cluster.Options{K: 1})
-		sel := WuLou(g, c)
-		vg := AdjacentClusterGraph(g, c) // vertices = heads
-		// Rebuild a WGraph over the WuLou pairs and check connectivity.
-		for _, p := range sel.Pairs() {
-			vg.AddEdge(p[0], p[1], g.HopDist(p[0], p[1]))
-		}
-		if !vg.Connected() {
+		if !headsConnected(c, WuLou(g, c).Pairs()) {
 			t.Fatalf("seed %d: 2.5-hop head graph disconnected", seed)
 		}
 	}

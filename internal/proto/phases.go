@@ -289,22 +289,16 @@ func (s *nodeState) keptLinks(sel map[int]int, useLMST bool) []int {
 		sort.Ints(out)
 		return out
 	}
-	vg := graph.NewWGraph()
-	vg.AddVertex(s.id)
+	var edges []graph.WEdge
 	for v, d := range sel {
-		vg.AddEdge(s.id, v, d)
-	}
-	for v := range sel {
+		edges = append(edges, graph.WEdge{U: s.id, V: v, Weight: d})
 		for w, d := range s.neighborSets[v] {
-			if w == s.id {
-				continue
-			}
-			if _, inSel := sel[w]; inSel {
-				vg.AddEdge(v, w, d)
+			if _, inSel := sel[w]; inSel && w != s.id {
+				edges = append(edges, graph.WEdge{U: v, V: w, Weight: d})
 			}
 		}
 	}
-	return vg.LocalMST(s.id)
+	return graph.NewWGraph([]int{s.id}, edges).LocalMST(s.id)
 }
 
 // --- Phase 5: gateway marking -------------------------------------------

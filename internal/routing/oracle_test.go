@@ -32,9 +32,7 @@ func oracleRoute(r *Router, src, dst int) ([]int, error) {
 		u, v := headPath[i], headPath[i+1]
 		a, b := min(u, v), max(u, v)
 		path := r.res.Paths[[2]int{a, b}]
-		if len(path) == 0 {
-			path = r.g.ShortestPath(u, v)
-		} else if path[0] != u {
+		if path[0] != u {
 			rev := make([]int, len(path))
 			for j, x := range path {
 				rev[len(path)-1-j] = x

@@ -15,7 +15,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
@@ -36,16 +38,19 @@ type Router struct {
 }
 
 // New builds a router from a network, its clustering, and a gateway
-// result whose links connect all clusterheads.
+// result whose links connect all clusterheads. The backbone's links are
+// the result's gateway paths, weighted by hop count, so every link a
+// route crosses has its path.
 func New(g *graph.Graph, c *cluster.Clustering, res *gateway.Result) *Router {
-	backbone := graph.NewWGraph()
-	for _, h := range c.Heads {
-		backbone.AddVertex(h)
+	links := make([]graph.WEdge, 0, len(res.Paths))
+	for link, path := range res.Paths {
+		links = append(links, graph.WEdge{U: link[0], V: link[1], Weight: len(path) - 1})
 	}
-	for _, l := range res.Links {
-		backbone.AddEdge(l.U, l.V, l.Weight)
-	}
-	r := &Router{g: g, c: c, res: res, backbone: backbone}
+	// Canonical order, so map order never reaches the build.
+	slices.SortFunc(links, func(a, b graph.WEdge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	r := &Router{g: g, c: c, res: res, backbone: graph.NewWGraph(c.Heads, links)}
 	r.scratch.New = func() any { return graph.NewScratch() }
 	return r
 }
@@ -80,7 +85,7 @@ func (r *Router) Route(src, dst int) ([]int, error) {
 	}
 	route := r.g.ShortestPathScratch(sc, src, hs)
 	for i := 0; i+1 < len(headPath); i++ {
-		route = splice(route, r.linkPath(sc, headPath[i], headPath[i+1]))
+		route = splice(route, r.linkPath(headPath[i], headPath[i+1]))
 	}
 	route = splice(route, r.g.ShortestPathScratch(sc, hd, dst))
 	return route, nil
@@ -88,17 +93,8 @@ func (r *Router) Route(src, dst int) ([]int, error) {
 
 // linkPath returns the gateway path of a backbone link oriented from u
 // to v.
-func (r *Router) linkPath(sc *graph.Scratch, u, v int) []int {
-	a, b := u, v
-	if a > b {
-		a, b = b, a
-	}
-	path := r.res.Paths[[2]int{a, b}]
-	if len(path) == 0 {
-		// Backbone link without recorded path cannot happen for results
-		// produced by package gateway; fall back to a direct search.
-		return r.g.ShortestPathScratch(sc, u, v)
-	}
+func (r *Router) linkPath(u, v int) []int {
+	path := r.res.Paths[[2]int{min(u, v), max(u, v)}]
 	if path[0] == u {
 		return path
 	}

@@ -171,10 +171,7 @@ func TestValidateRouteRejects(t *testing.T) {
 
 // TestWGraphShortestPath covers the Dijkstra substrate directly.
 func TestWGraphShortestPath(t *testing.T) {
-	w := graph.NewWGraph()
-	w.AddEdge(1, 2, 1)
-	w.AddEdge(2, 3, 1)
-	w.AddEdge(1, 3, 5)
+	w := graph.NewWGraph([]int{9}, []graph.WEdge{{U: 1, V: 2, Weight: 1}, {U: 2, V: 3, Weight: 1}, {U: 1, V: 3, Weight: 5}})
 	path := w.ShortestPath(1, 3)
 	if len(path) != 3 || path[0] != 1 || path[1] != 2 || path[2] != 3 {
 		t.Fatalf("path=%v", path)
@@ -185,7 +182,6 @@ func TestWGraphShortestPath(t *testing.T) {
 	if p := w.ShortestPath(2, 2); len(p) != 1 {
 		t.Fatalf("self path=%v", p)
 	}
-	w.AddVertex(9)
 	if w.ShortestPath(1, 9) != nil {
 		t.Fatal("path to isolated vertex")
 	}
