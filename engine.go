@@ -97,7 +97,9 @@ func WithAffiliation(a Affiliation) Option {
 }
 
 // WithPriority sets the clusterhead election priority (default lowest
-// ID). MaxMin mode elects by the Max-Min rules and rejects a custom
+// ID). It must rank every two nodes strictly apart: Build reads each
+// node's rank once and returns an error naming two nodes that rank
+// equal. MaxMin mode elects by the Max-Min rules and rejects a custom
 // priority.
 func WithPriority(p Priority) Option { return func(c *engineConfig) { c.priority = p } }
 
@@ -117,9 +119,7 @@ func WithSeed(seed int64) Option { return func(c *engineConfig) { c.seed = seed 
 // phases split into independent read-only walks whose outputs merge in
 // a fixed order: the Result is bitwise identical to a serial build for
 // any n, and goldens, differential tests, and incremental maintenance
-// are unaffected by the worker count. A custom WithPriority rank
-// function must be safe for concurrent use (the built-in priorities
-// are). In Distributed mode the protocol itself already runs one
+// are unaffected by the worker count. In Distributed mode the protocol itself already runs one
 // goroutine per node; n applies to the centralized gateway-path
 // materialization pass.
 func WithParallel(n int) Option { return func(c *engineConfig) { c.parallel = n } }

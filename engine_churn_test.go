@@ -330,31 +330,25 @@ func TestEngineChurnMatchesRebuild(t *testing.T) {
 	}
 }
 
-// shiftingPriority returns a strictly decreasing rank on every call, so
-// every node believes some neighbor outranks it — the degenerate
-// non-total Priority that used to stall the election in an infinite
-// panic-guarded loop.
-type shiftingPriority struct{ val float64 }
+// equalPriority ranks every node the same, so it is not a total order.
+type equalPriority struct{}
 
-func (p *shiftingPriority) Rank(v int) cluster.Rank {
-	p.val--
-	return cluster.Rank{Value: p.val, ID: v}
-}
+func (equalPriority) Rank(int) cluster.Rank { return cluster.Rank{} }
 
-// TestEngineBuildElectionStallError: a Priority that does not induce a
-// total order makes Engine.Build return an error instead of panicking
-// (cluster satellite bugfix).
-func TestEngineBuildElectionStallError(t *testing.T) {
+// TestEngineBuildEqualRanksError: a Priority that ranks two nodes equal
+// makes Engine.Build return an error naming them, not a clustering in
+// which every node is a head.
+func TestEngineBuildEqualRanksError(t *testing.T) {
 	net := testNetwork(t, 20, 5, 131)
-	e, err := NewEngine(net.Graph(), WithK(1), WithPriority(&shiftingPriority{}))
+	e, err := NewEngine(net.Graph(), WithK(1), WithPriority(equalPriority{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = e.Build(context.Background())
 	if err == nil {
-		t.Fatal("stalled election returned no error")
+		t.Fatal("equal ranks returned no error")
 	}
-	if !strings.Contains(err.Error(), "no progress") {
+	if !strings.Contains(err.Error(), "nodes 0 and 1 rank equal") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func pathGraph(n int) *graph.Graph {
@@ -130,7 +132,7 @@ func TestRunSingleNode(t *testing.T) {
 func TestRunLargeKSingleCluster(t *testing.T) {
 	// k ≥ diameter: node 0 should own everything under lowest ID.
 	g := randomConnected(40, 0.1, 5)
-	ecc, _ := g.Eccentricity(0)
+	ecc := slices.Max(g.BFS(0))
 	c := Run(g, Options{K: ecc + 1})
 	if len(c.Heads) != 1 || c.Heads[0] != 0 {
 		t.Fatalf("Heads=%v", c.Heads)
@@ -434,23 +436,44 @@ func TestAffiliateSingleNode(t *testing.T) {
 	}
 }
 
-// decayingPriority hands out a strictly better rank on every call, so no
-// node ever believes it wins its neighborhood: the degenerate non-total
-// order that must surface as an error, not a panic or an infinite loop.
-type decayingPriority struct{ val float64 }
+// equalPriority ranks every node the same: a Priority that is not a
+// total order, which must surface as an error rather than as a
+// clustering in which every node is a head.
+type equalPriority struct{}
 
-func (p *decayingPriority) Rank(v int) Rank {
-	p.val--
-	return Rank{Value: p.val, ID: v}
+func (equalPriority) Rank(int) Rank { return Rank{} }
+
+func TestRunCtxEqualRanksReturnsError(t *testing.T) {
+	g := pathGraph(8)
+	_, err := RunCtx(context.Background(), g, Options{K: 2, Priority: equalPriority{}}, nil)
+	if err == nil {
+		t.Fatal("equal ranks returned no error")
+	}
+	if !strings.Contains(err.Error(), "nodes 0 and 1 rank equal") {
+		t.Fatalf("unexpected error: %v", err)
+	}
 }
 
-func TestRunCtxStalledElectionReturnsError(t *testing.T) {
-	g := pathGraph(8)
-	_, err := RunCtx(context.Background(), g, Options{K: 1, Priority: &decayingPriority{}}, nil)
-	if err == nil {
-		t.Fatal("stalled election returned no error")
-	}
-	if !strings.Contains(err.Error(), "no progress") {
-		t.Fatalf("unexpected error: %v", err)
+// countingPriority is LowestID that counts its calls.
+type countingPriority struct{ calls int }
+
+func (p *countingPriority) Rank(v int) Rank {
+	p.calls++
+	return Rank{ID: v}
+}
+
+// TestRunCtxReadsPriorityOncePerNode: a build reads each node's rank
+// exactly once, serially and on a pool, however many rounds it takes.
+func TestRunCtxReadsPriorityOncePerNode(t *testing.T) {
+	g := randomConnected(60, 0.08, 3)
+	for _, pool := range []*partition.Pool{nil, partition.NewPool(3)} {
+		p := &countingPriority{}
+		c, err := RunCtx(context.Background(), g, Options{K: 2, Priority: p, Pool: pool}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.calls != g.N() || c.Rounds < 2 {
+			t.Fatalf("workers=%d: %d Rank calls over %d rounds, want %d calls", pool.Workers(), p.calls, c.Rounds, g.N())
+		}
 	}
 }

@@ -29,7 +29,10 @@ func (r Rank) Better(s Rank) bool {
 }
 
 // Priority assigns an election rank to every node. Implementations must
-// be deterministic for a given network instance.
+// be deterministic for a given network instance and rank every two
+// nodes strictly apart (the built-in priorities break value ties by
+// ID); the centralized election reads each node's rank once per run
+// and reports two nodes that rank equal as an error.
 type Priority interface {
 	Rank(v int) Rank
 }

@@ -55,20 +55,6 @@ func (g *Graph) BFSWithin(src, maxHops int) map[int]int {
 	return dist
 }
 
-// KHopNeighbors returns the sorted vertices at distance 1..k from src
-// (src excluded).
-func (g *Graph) KHopNeighbors(src, k int) []int {
-	ball := g.BFSWithin(src, k)
-	out := make([]int, 0, len(ball)-1)
-	for v := range ball {
-		if v != src {
-			out = append(out, v)
-		}
-	}
-	sortInts(out)
-	return out
-}
-
 // HopDist returns the hop distance between u and v, or Unreachable.
 func (g *Graph) HopDist(u, v int) int {
 	return g.BFS(u)[v]
@@ -167,22 +153,6 @@ func (g *Graph) Components() [][]int {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// Eccentricity returns the maximum finite hop distance from src, and
-// whether any vertex was unreachable.
-func (g *Graph) Eccentricity(src int) (ecc int, allReachable bool) {
-	allReachable = true
-	for _, d := range g.BFS(src) {
-		if d == Unreachable {
-			allReachable = false
-			continue
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, allReachable
 }
 
 func reverse(s []int) {

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // FlatGraph is a CSR (compressed sparse row) snapshot of a Graph: one
 // offsets array plus one flat neighbor array, built once per build and
@@ -19,10 +22,15 @@ type FlatGraph struct {
 	nbr []int32
 	// rank[v] is v's DFS-preorder discovery index (min-ID neighbor
 	// first, components in ascending root order), a cheap graph-locality
-	// key: vertices with nearby ranks are nearby in the graph. Used by
-	// LocalityOrder to pack spatially coherent sources into the same
-	// 64-wide MSBFS block.
-	rank []int32
+	// key: vertices with nearby ranks are nearby in the graph. RankOrder,
+	// LocalityOrder and BlockOrder use it to pack spatially coherent
+	// sources into the same 64-wide MSBFS block. It is computed on the
+	// first of those calls, not by Flatten, so a build whose stages never
+	// block by locality (AC-LMST, churn refreshes) never pays for it;
+	// rankOnce makes that first call safe on a snapshot shared by
+	// concurrent workers.
+	rankOnce sync.Once
+	rank     []int32
 }
 
 // Flatten builds the CSR snapshot of g. O(V+E).
@@ -43,8 +51,13 @@ func Flatten(g *Graph) *FlatGraph {
 			i++
 		}
 	}
-	f.rank = preorder(f)
 	return f
+}
+
+// ranks returns the DFS-preorder rank, computing it on first use.
+func (f *FlatGraph) ranks() []int32 {
+	f.rankOnce.Do(func() { f.rank = preorder(f) })
+	return f.rank
 }
 
 // preorder computes the DFS discovery rank of every vertex: an
@@ -86,43 +99,23 @@ func preorder(f *FlatGraph) []int32 {
 	return rank
 }
 
-// LocalityOrder returns a permutation p of [0, len(sources)) that packs
-// graph-nearby sources into the same aligned 64-wide chunk: repeatedly
-// take the unassigned source with the smallest DFS rank as a seed, grow
-// a BFS ball around it until 64 unassigned sources are swallowed (or
-// its component runs out), and emit them in discovery order. Chunking
-// the permutation into 64-wide MSBFS blocks therefore yields one tight
-// graph-metric ball per block, which is what makes batching pay off: a
-// block's sweep cost is governed by how many distinct levels each
-// covered vertex gains bits at — roughly the diameter of the block's
-// source region — so 64 sources from one small ball share almost every
-// frontier expansion, while 64 sources scattered across the deployment
-// (e.g. head IDs on a geometric graph, which carry no spatial
-// information) share none and cost as much as 64 scalar walks.
-//
-// The permutation is deterministic (BFS discovery order over ascending
-// adjacency, seeds in DFS-rank order, co-located sources tie-break by
-// position), and per-source results of the batched traversals are
-// independent of block composition, so consumers may reorder freely
-// without changing any output. Cost is one bounded region walk per
-// block, O(V+E) in total for sources spread over the whole graph.
 // RankOrder returns a permutation of [0, len(sources)) that sorts the
 // sources by DFS-preorder rank (ties by position). It is the cheapest
-// locality blocking — O(s log s), no graph walk — and the right choice
-// when the sweeps being fed are shallow (radius ≤ k offer rounds, where
-// a whole-graph ordering walk would dwarf the sweep) or the sources are
-// dense. LocalityOrder upgrades it with ball-growing for sparse sets
-// feeding deep sweeps.
+// locality blocking — O(s log s) plus the snapshot's one-off O(V+E)
+// rank pass, no per-call graph walk — and the right choice when the
+// sources are dense. LocalityOrder upgrades it with ball-growing for
+// sparse sets feeding deep sweeps.
 func (f *FlatGraph) RankOrder(sources []int) []int {
 	if len(sources) == 0 {
 		return nil
 	}
+	rank := f.ranks()
 	seeds := make([]int, len(sources))
 	for i := range seeds {
 		seeds[i] = i
 	}
 	sort.Slice(seeds, func(a, b int) bool {
-		ra, rb := f.rank[sources[seeds[a]]], f.rank[sources[seeds[b]]]
+		ra, rb := rank[sources[seeds[a]]], rank[sources[seeds[b]]]
 		if ra != rb {
 			return ra < rb
 		}
@@ -146,6 +139,26 @@ func (f *FlatGraph) BlockOrder(sources []int, maxHops int) []int {
 	return f.LocalityOrder(sources)
 }
 
+// LocalityOrder returns a permutation p of [0, len(sources)) that packs
+// graph-nearby sources into the same aligned 64-wide chunk: repeatedly
+// take the unassigned source with the smallest DFS rank as a seed, grow
+// a BFS ball around it until 64 unassigned sources are swallowed (or
+// its component runs out), and emit them in discovery order. Chunking
+// the permutation into 64-wide MSBFS blocks therefore yields one tight
+// graph-metric ball per block, which is what makes batching pay off: a
+// block's sweep cost is governed by how many distinct levels each
+// covered vertex gains bits at — roughly the diameter of the block's
+// source region — so 64 sources from one small ball share almost every
+// frontier expansion, while 64 sources scattered across the deployment
+// (e.g. head IDs on a geometric graph, which carry no spatial
+// information) share none and cost as much as 64 scalar walks.
+//
+// The permutation is deterministic (BFS discovery order over ascending
+// adjacency, seeds in DFS-rank order, co-located sources tie-break by
+// position), and per-source results of the batched traversals are
+// independent of block composition, so consumers may reorder freely
+// without changing any output. Cost is one bounded region walk per
+// block, O(V+E) in total for sources spread over the whole graph.
 func (f *FlatGraph) LocalityOrder(sources []int) []int {
 	if len(sources) == 0 {
 		return nil

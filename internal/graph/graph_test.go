@@ -294,16 +294,6 @@ func TestBFSWithinMatchesBFS(t *testing.T) {
 	}
 }
 
-func TestKHopNeighbors(t *testing.T) {
-	g := pathGraph(7)
-	if got := g.KHopNeighbors(3, 2); !reflect.DeepEqual(got, []int{1, 2, 4, 5}) {
-		t.Fatalf("KHopNeighbors=%v", got)
-	}
-	if got := g.KHopNeighbors(0, 0); len(got) != 0 {
-		t.Fatalf("k=0 neighbors=%v", got)
-	}
-}
-
 func TestHopDist(t *testing.T) {
 	g := cycleGraph(8)
 	if d := g.HopDist(0, 4); d != 4 {
@@ -423,24 +413,6 @@ func TestComponents(t *testing.T) {
 	want := [][]int{{0, 1, 2}, {3, 4}, {5}, {6}}
 	if got := g.Components(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Components=%v, want %v", got, want)
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	g := pathGraph(5)
-	ecc, all := g.Eccentricity(0)
-	if ecc != 4 || !all {
-		t.Fatalf("ecc=%d all=%v", ecc, all)
-	}
-	ecc, all = g.Eccentricity(2)
-	if ecc != 2 || !all {
-		t.Fatalf("ecc=%d all=%v", ecc, all)
-	}
-	d := New(3)
-	d.AddEdge(0, 1)
-	_, all = d.Eccentricity(0)
-	if all {
-		t.Fatal("allReachable true on disconnected graph")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -249,6 +250,33 @@ func TestLocalityOrderIsPermutation(t *testing.T) {
 					t.Fatalf("trial %d: BlockOrder(maxHops=%d) not a permutation: %v", trial, maxHops, bp)
 				}
 			}
+		}
+	}
+}
+
+// TestRankComputedOnFirstOrdering: Flatten leaves the DFS rank
+// uncomputed, and ordering calls racing on a fresh shared snapshot all
+// see the one rank the first of them computes (run under -race).
+func TestRankComputedOnFirstOrdering(t *testing.T) {
+	g := msRandomGraph(rand.New(rand.NewSource(5)), 500, 4, true)
+	want := Flatten(g).RankOrder([]int{7, 400, 3, 250, 99})
+	fg := Flatten(g)
+	if fg.rank != nil {
+		t.Fatal("Flatten computed the DFS rank")
+	}
+	var wg sync.WaitGroup
+	perms := make([][]int, 4)
+	for i := range perms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			perms[i] = fg.RankOrder([]int{7, 400, 3, 250, 99})
+		}()
+	}
+	wg.Wait()
+	for i, p := range perms {
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("goroutine %d: RankOrder = %v, want %v", i, p, want)
 		}
 	}
 }
