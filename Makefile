@@ -45,4 +45,6 @@ golden:
 	$(CURDIR)/bin/khopsim -fig churn -json -seed 1 -parallel 8 | cmp testdata/golden/churn.json -
 	$(CURDIR)/bin/khopsim -fig broadcast -json -seed 1 -parallel 8 | cmp testdata/golden/broadcast.json -
 	$(CURDIR)/bin/khopsim -fig routing -json -seed 1 -parallel 8 | cmp testdata/golden/routing.json -
+	for fig in 6 7; do $(CURDIR)/bin/khopsim -fig $$fig -json -seed 1 -runs 5 -parallel 8 | cmp testdata/golden/fig$$fig.json - || exit 1; done
+	for fig in ablation comparison energy; do $(CURDIR)/bin/khopsim -fig $$fig -json -seed 1 -runs 5 -parallel 8 | cmp testdata/golden/$$fig.json - || exit 1; done
 	$(GO) test -run TestGoldenSnapshot -count=1 ./internal/codec

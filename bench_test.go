@@ -19,8 +19,10 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/gateway"
+	"repro/internal/graph"
 	"repro/internal/maxmin"
 	"repro/internal/mobility"
 	"repro/internal/ncr"
@@ -59,6 +61,16 @@ func benchInstance(b *testing.B, n int, deg float64, k int, rng *rand.Rand) *ben
 	return inst
 }
 
+// connect runs core.Connect for algo on the clustering c of g.
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+	tb.Helper()
+	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Gateway
+}
+
 // cdsFigureBench is the common harness for Figures 5 and 6: per
 // iteration, one N=100 instance evaluated by all five algorithms; the
 // reported metrics are the per-algorithm mean CDS sizes.
@@ -69,7 +81,7 @@ func cdsFigureBench(b *testing.B, degree float64, k int) {
 	for i := 0; i < b.N; i++ {
 		inst := benchInstance(b, 100, degree, k, rng)
 		for ai, algo := range gateway.Algorithms {
-			sums[ai] += float64(gateway.Run(inst.Net.G, inst.C, algo).CDSSize())
+			sums[ai] += float64(connect(b, inst.Net.G, inst.C, algo).CDSSize())
 		}
 	}
 	b.StopTimer()
@@ -103,7 +115,7 @@ func BenchmarkFig7(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				inst := benchInstance(b, 100, 6, k, rng)
-				res := gateway.Run(inst.Net.G, inst.C, gateway.ACLMST)
+				res := connect(b, inst.Net.G, inst.C, gateway.ACLMST)
 				headSum += float64(inst.C.NumClusters())
 				cdsSum += float64(res.CDSSize())
 			}
@@ -124,7 +136,7 @@ func BenchmarkFig4Example(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inst := benchInstance(b, 100, 6, 3, rng)
 		for ai, algo := range gateway.Algorithms {
-			counts[ai] += float64(gateway.Run(inst.Net.G, inst.C, algo).NumGateways())
+			counts[ai] += float64(connect(b, inst.Net.G, inst.C, algo).NumGateways())
 		}
 	}
 	b.StopTimer()
@@ -317,7 +329,7 @@ func BenchmarkAblationAffiliation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sum += float64(gateway.Run(inst.Net.G, inst.C, gateway.ACLMST).CDSSize())
+				sum += float64(connect(b, inst.Net.G, inst.C, gateway.ACLMST).CDSSize())
 			}
 			b.StopTimer()
 			b.ReportMetric(sum/float64(b.N), "cds")
@@ -355,7 +367,7 @@ func BenchmarkBroadcast(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				inst := benchInstance(b, 150, 8, k, rng)
-				res := gateway.Run(inst.Net.G, inst.C, gateway.ACLMST)
+				res := connect(b, inst.Net.G, inst.C, gateway.ACLMST)
 				bl, cds, _ := broadcast.Compare(inst.Net.G, inst.C, res, rng.Intn(150))
 				if !cds.Covered {
 					b.Fatal("CDS broadcast did not cover")
@@ -380,7 +392,7 @@ func BenchmarkRouting(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				inst := benchInstance(b, 100, 7, k, rng)
-				res := gateway.Run(inst.Net.G, inst.C, gateway.ACLMST)
+				res := connect(b, inst.Net.G, inst.C, gateway.ACLMST)
 				router := routing.New(inst.Net.G, inst.C, res)
 				var s float64
 				for p := 0; p < 20; p++ {
@@ -433,9 +445,9 @@ func BenchmarkClusteringComparison(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inst := benchInstance(b, 100, 6, 2, rng)
-		lowCDS += float64(gateway.Run(inst.Net.G, inst.C, gateway.ACLMST).CDSSize())
+		lowCDS += float64(connect(b, inst.Net.G, inst.C, gateway.ACLMST).CDSSize())
 		mmC := maxmin.Run(inst.Net.G, 2)
-		mmCDS += float64(gateway.Run(inst.Net.G, mmC, gateway.ACLMST).CDSSize())
+		mmCDS += float64(connect(b, inst.Net.G, mmC, gateway.ACLMST).CDSSize())
 	}
 	b.StopTimer()
 	b.ReportMetric(lowCDS/float64(b.N), "lowest_id_cds")
@@ -479,7 +491,7 @@ func BenchmarkGatewaySelection(b *testing.B) {
 	for _, algo := range gateway.Algorithms {
 		b.Run(algo.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gateway.Run(net.G, c, algo)
+				connect(b, net.G, c, algo)
 			}
 		})
 	}
@@ -592,9 +604,8 @@ func BenchmarkEngineReuse(b *testing.B) {
 // BenchmarkBuildBatched measures serial builds on the CSR + multi-source
 // batched BFS path at the same grid-indexed production-scale workload
 // BenchmarkBuildParallel uses. Both gateway algorithms are measured:
-// AC-LMST builds spend their BFS budget on the radius-bounded
-// cluster/NC walks, while G-MST adds the unbounded head-to-head distance
-// pass (see internal/gateway's BenchmarkGMSTHeadDists). The scale figure
+// AC-LMST builds run A-NCR and local MSTs; G-MST runs the radius-2k+1
+// NC sweeps and one MST over the NC virtual graph. The scale figure
 // (`khopsim -fig scale`) reports serial and parallel builds up the full
 // ladder to a million nodes.
 func BenchmarkBuildBatched(b *testing.B) {

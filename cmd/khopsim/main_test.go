@@ -85,6 +85,11 @@ func TestGoldenFigures(t *testing.T) {
 		{"churn.json", "churn", 100},
 		{"broadcast.json", "broadcast", 100},
 		{"routing.json", "routing", 100},
+		{"fig6.json", "6", 5},
+		{"fig7.json", "7", 5},
+		{"ablation.json", "ablation", 5},
+		{"comparison.json", "comparison", 5},
+		{"energy.json", "energy", 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.workload, func(t *testing.T) {

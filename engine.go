@@ -356,15 +356,7 @@ func (e *Engine) buildMaxMin(ctx context.Context, cfg engineConfig, s *core.Scra
 	if err != nil {
 		return nil, err
 	}
-	sel, err := core.SelectionForPar(ctx, e.g.g, fg, c, cfg.algorithm, s.BFS(), pool)
-	if err != nil {
-		return nil, err
-	}
-	gres, err := gateway.RunSelectedPar(ctx, e.g.g, fg, c, sel, cfg.algorithm, s.BFS(), pool)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Output{Clustering: c, Selection: sel, Gateway: gres}, nil
+	return core.Connect(ctx, e.g.g, fg, c, cfg.algorithm, s.BFS(), pool)
 }
 
 // Result returns the Engine's current structure: the last Build result,

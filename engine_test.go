@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gateway"
 	"repro/internal/maxmin"
 	"repro/internal/mobility"
 )
@@ -39,22 +38,14 @@ func pipelineResult(t *testing.T, g *Graph, mode Mode, algo Algorithm, k int) *R
 	t.Helper()
 	ctx := context.Background()
 	var out *core.Output
+	var err error
 	if mode == MaxMin {
-		c := maxmin.Run(g.g, k)
-		sel, err := core.SelectionForPar(ctx, g.g, nil, c, algo, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gres, err := gateway.RunSelectedPar(ctx, g.g, nil, c, sel, algo, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = &core.Output{Clustering: c, Selection: sel, Gateway: gres}
+		out, err = core.Connect(ctx, g.g, nil, maxmin.Run(g.g, k), algo, nil, nil)
 	} else {
-		var err error
-		if out, err = core.BuildCtx(ctx, g.g, core.Options{K: k, Algorithm: algo}); err != nil {
-			t.Fatal(err)
-		}
+		out, err = core.BuildCtx(ctx, g.g, core.Options{K: k, Algorithm: algo})
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	res := assemble(out.Clustering, out.Selection, out.Gateway, k, algo)
 	res.IndependentHeads = mode != MaxMin

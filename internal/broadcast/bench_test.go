@@ -26,7 +26,7 @@ func BenchmarkNewPlan(b *testing.B) {
 				b.Fatal(err)
 			}
 			c := cluster.Run(net.G, cluster.Options{K: 2})
-			res := gateway.Run(net.G, c, gateway.ACLMST)
+			res := connect(b, net.G, c, gateway.ACLMST)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,11 +1,13 @@
 package broadcast
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
 	"repro/internal/udg"
@@ -19,7 +21,7 @@ func testScene(t testing.TB, n int, deg float64, k int, seed int64) (*graph.Grap
 		t.Fatal(err)
 	}
 	c := cluster.Run(net.G, cluster.Options{K: k})
-	return net.G, c, gateway.Run(net.G, c, gateway.ACLMST)
+	return net.G, c, connect(t, net.G, c, gateway.ACLMST)
 }
 
 func pathGraph(n int) *graph.Graph {
@@ -158,7 +160,7 @@ func TestCoverageQuick(t *testing.T) {
 			return true
 		}
 		c := cluster.Run(net.G, cluster.Options{K: k})
-		res := gateway.Run(net.G, c, gateway.ACLMST)
+		res := connect(t, net.G, c, gateway.ACLMST)
 		src := int(rawSrc) % net.G.N()
 		return NewPlan(net.G, c, res).Run(net.G, src).Covered
 	}
@@ -171,4 +173,14 @@ func TestStatsString(t *testing.T) {
 	if (Stats{}).String() == "" {
 		t.Fatal("empty String")
 	}
+}
+
+// connect runs core.Connect for algo on the clustering c of g.
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+	tb.Helper()
+	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Gateway
 }

@@ -74,7 +74,7 @@ func TestPlanMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := cluster.Run(net.G, cluster.Options{K: k})
-				res := gateway.Run(net.G, c, gateway.ACLMST)
+				res := connect(t, net.G, c, gateway.ACLMST)
 				label := fmt.Sprintf("connected=%v k=%d seed=%d", connected, k, seed)
 				assertMatchesOracle(t, label, net.G, c, res)
 			}

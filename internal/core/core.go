@@ -3,8 +3,9 @@
 // k-hop clusterhead election (package cluster), neighbor clusterhead
 // selection (package ncr: NC or the paper's A-NCR), and gateway selection
 // (package gateway: mesh, the paper's LMSTGA, or the G-MST baseline) —
-// into the five named algorithms of the evaluation, and exposes a single
-// entry point the public facade builds on.
+// into the five named algorithms of the evaluation. Every build composes
+// through it: BuildCtx elects and then connects, and Connect runs the two
+// selection stages on a clustering the caller already has.
 package core
 
 import (
@@ -81,8 +82,8 @@ type Output struct {
 	Gateway    *gateway.Result
 }
 
-// BuildCtx runs clustering, neighbor selection, and gateway selection on
-// g, honoring ctx cancellation inside every stage's hot loop.
+// BuildCtx runs clustering, then Connect, on g, honoring ctx
+// cancellation inside every stage's hot loop.
 func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error) {
 	if opt.K < 1 {
 		return nil, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
@@ -105,22 +106,28 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error)
 	if err != nil {
 		return nil, err
 	}
-	sel, err := SelectionForPar(ctx, g, fg, c, opt.Algorithm, s.bfs, opt.Pool)
+	return Connect(ctx, g, fg, c, opt.Algorithm, s.bfs, opt.Pool)
+}
+
+// Connect runs the two stages that connect an existing clustering c of
+// g: neighbor clusterhead selection by algo.NeighborRule(), then gateway
+// selection for algo over that selection. BuildCtx runs it after its
+// election; callers that cluster otherwise (Max-Min, a clustering shared
+// by several algorithms) call it directly. fg is the CSR snapshot of g
+// both stages sweep (nil makes Connect flatten g). Connect honors ctx,
+// reuses s's BFS buffers (nil is valid) and shards across pool's workers
+// (a nil pool runs one shard; the output is identical).
+func Connect(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch, pool *partition.Pool) (*Output, error) {
+	if fg == nil {
+		fg = graph.Flatten(g)
+	}
+	sel, err := ncr.SelectPar(ctx, g, fg, c, algo.NeighborRule(), s, pool)
 	if err != nil {
 		return nil, err
 	}
-	res, err := gateway.RunSelectedPar(ctx, g, fg, c, sel, opt.Algorithm, s.bfs, opt.Pool)
+	res, err := gateway.RunSelectedPar(ctx, g, fg, c, sel, algo, s, pool)
 	if err != nil {
 		return nil, err
 	}
 	return &Output{Clustering: c, Selection: sel, Gateway: res}, nil
-}
-
-// SelectionForPar returns the neighbor clusterhead selection the given
-// algorithm uses (Algorithm.NeighborRule). The selection honors ctx,
-// reuses s's BFS buffers (nil is valid), shards across pool's workers
-// (a nil pool runs one shard; the output is identical), and runs its
-// sweeps on fg, the CSR snapshot of g (see ncr.SelectPar).
-func SelectionForPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch, pool *partition.Pool) (*ncr.Selection, error) {
-	return ncr.SelectPar(ctx, g, fg, c, algo.NeighborRule(), s, pool)
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cds"
 	"repro/internal/cluster"
 	"repro/internal/gateway"
-	"repro/internal/graph"
 	"repro/internal/ncr"
 	"repro/internal/udg"
 )
@@ -48,6 +47,8 @@ func TestBuildRejectsBadK(t *testing.T) {
 	}
 }
 
+// TestSelectionForRules: Connect selects by the algorithm's neighbor
+// rule, A-NCR for the AC algorithms and NC for the rest, G-MST included.
 func TestSelectionForRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net, err := udg.Generate(udg.Config{N: 60, AvgDegree: 6, RequireConnected: true}, rng)
@@ -55,22 +56,21 @@ func TestSelectionForRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cluster.Run(net.G, cluster.Options{K: 2})
-	acSel := selectionFor(t, net.G, c, gateway.ACLMST)
-	ncSel := selectionFor(t, net.G, c, gateway.NCLMST)
+	sel := func(algo gateway.Algorithm) *ncr.Selection {
+		out, err := Connect(context.Background(), net.G, nil, c, algo, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Clustering != c {
+			t.Fatalf("%v: Connect replaced the clustering", algo)
+		}
+		return out.Selection
+	}
+	acSel, ncSel := sel(gateway.ACLMST), sel(gateway.NCLMST)
 	if acSel.Rule != ncr.RuleANCR || ncSel.Rule != ncr.RuleNC {
 		t.Fatalf("rules: %v %v", acSel.Rule, ncSel.Rule)
 	}
-	if !reflect.DeepEqual(selectionFor(t, net.G, c, gateway.GMST).Neighbors, ncSel.Neighbors) {
-		t.Fatal("GMST should report the NC view")
+	if !reflect.DeepEqual(sel(gateway.GMST).Neighbors, ncSel.Neighbors) {
+		t.Fatal("GMST should run on the NC selection")
 	}
-}
-
-// selectionFor is SelectionForPar run serially with a fresh snapshot.
-func selectionFor(t *testing.T, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *ncr.Selection {
-	t.Helper()
-	sel, err := SelectionForPar(context.Background(), g, nil, c, algo, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sel
 }

@@ -10,9 +10,11 @@
 package energy
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
 )
@@ -91,19 +93,25 @@ func Simulate(g *graph.Graph, k int, algo gateway.Algorithm, m Model, p Policy, 
 
 	var c *cluster.Clustering
 	var gw *gateway.Result
-	build := func() {
+	build := func() error {
 		var prio cluster.Priority
 		if p == PolicyRotate {
 			prio = cluster.NewHighestEnergy(residual)
 		}
-		c = cluster.Run(g, cluster.Options{K: k, Priority: prio})
-		gw = gateway.Run(g, c, algo)
+		out, err := core.BuildCtx(context.Background(), g, core.Options{K: k, Algorithm: algo, Priority: prio})
+		if err != nil {
+			return err
+		}
+		c, gw = out.Clustering, out.Gateway
+		return nil
 	}
 
 	for epoch := 0; epoch < maxEpochs; epoch++ {
 		res.Epochs++
 		if c == nil || p == PolicyRotate {
-			build()
+			if err := build(); err != nil {
+				return nil, fmt.Errorf("energy: epoch %d: %w", epoch, err)
+			}
 		}
 		for _, h := range c.Heads {
 			served[h] = true

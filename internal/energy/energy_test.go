@@ -1,10 +1,12 @@
 package energy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
 	"repro/internal/udg"
@@ -132,7 +134,7 @@ func TestEnergyConservation(t *testing.T) {
 	// Static policy uses the same roles every epoch, so total draw is
 	// epochs · (heads·HeadCost + gateways·GatewayCost + members·MemberCost).
 	c := cluster.Run(g, cluster.Options{K: 2})
-	gw := gateway.Run(g, c, gateway.ACLMST)
+	gw := connect(t, g, c, gateway.ACLMST)
 	heads := len(c.Heads)
 	gws := len(gw.Gateways)
 	members := g.N() - heads - gws
@@ -142,4 +144,14 @@ func TestEnergyConservation(t *testing.T) {
 	if diff := perEpoch - wantPerEpoch; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("per-epoch draw %v, want %v", perEpoch, wantPerEpoch)
 	}
+}
+
+// connect runs core.Connect for algo on the clustering c of g.
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+	tb.Helper()
+	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Gateway
 }

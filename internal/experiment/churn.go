@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -186,7 +187,11 @@ func Churn(ctx context.Context, cfg RunConfig, n int, degree float64, k, events,
 				done += len(batch)
 			}
 			t.finalCDS = float64(len(m.Res.CDS))
-			t.rebuildCDS = float64(rebuildCDSSize(st, k))
+			rebuild, err := rebuildCDSSize(ctx, st, k)
+			if err != nil {
+				return t, err
+			}
+			t.rebuildCDS = float64(rebuild)
 			return t, nil
 		},
 		func(idx int, t churnTrial) (bool, error) {
@@ -267,7 +272,7 @@ func ChurnFigure(ctx context.Context, cfg RunConfig) (*Figure, error) {
 // against which the maintained structure's size drift is measured.
 // Departed nodes are isolated vertices; each trivially heads itself, so
 // they are excluded from the count.
-func rebuildCDSSize(st *churnState, k int) int {
+func rebuildCDSSize(ctx context.Context, st *churnState, k int) (int, error) {
 	g := graph.New(len(st.pos))
 	for u := range st.pos {
 		if !st.alive[u] {
@@ -279,13 +284,15 @@ func rebuildCDSSize(st *churnState, k int) int {
 			}
 		}
 	}
-	c := cluster.Run(g, cluster.Options{K: k})
-	res := gateway.Run(g, c, gateway.ACLMST)
+	out, err := core.BuildCtx(ctx, g, core.Options{K: k, Algorithm: gateway.ACLMST})
+	if err != nil {
+		return 0, err
+	}
 	size := 0
-	for _, v := range res.CDS {
+	for _, v := range out.Gateway.CDS {
 		if st.alive[v] {
 			size++
 		}
 	}
-	return size
+	return size, nil
 }

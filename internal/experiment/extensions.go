@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/gateway"
+	"repro/internal/graph"
 	"repro/internal/maxmin"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
@@ -35,14 +37,17 @@ func BroadcastSavings(ctx context.Context, cfg RunConfig, n int, degree float64,
 		cdsS, blindS := &metrics.Sample{}, &metrics.Sample{}
 		r := cfg.runner(fmt.Sprintf("broadcast/n=%d/d=%g/k=%d", n, degree, k))
 		_, err := RunTrials(ctx, r,
-			func(_ context.Context, _ int, rng *rand.Rand) ([2]float64, error) {
+			func(ctx context.Context, _ int, rng *rand.Rand) ([2]float64, error) {
 				inst, err := NewInstance(n, degree, k, cluster.AffiliationID, nil, rng)
 				if err != nil {
 					return [2]float64{}, err
 				}
-				res := gateway.Run(inst.Net.G, inst.C, gateway.ACLMST)
+				out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+				if err != nil {
+					return [2]float64{}, err
+				}
 				src := rng.Intn(n)
-				blind, cds, _ := broadcast.Compare(inst.Net.G, inst.C, res, src)
+				blind, cds, _ := broadcast.Compare(inst.Net.G, inst.C, out.Gateway, src)
 				if !cds.Covered {
 					return [2]float64{}, fmt.Errorf("CDS broadcast failed to cover (k=%d)", k)
 				}
@@ -92,14 +97,17 @@ func RoutingStretch(ctx context.Context, cfg RunConfig, n int, degree float64, k
 			flat, hier float64
 		}
 		_, err := RunTrials(ctx, r,
-			func(_ context.Context, _ int, rng *rand.Rand) (routingTrial, error) {
+			func(ctx context.Context, _ int, rng *rand.Rand) (routingTrial, error) {
 				var t routingTrial
 				inst, err := NewInstance(n, degree, k, cluster.AffiliationID, nil, rng)
 				if err != nil {
 					return t, err
 				}
-				res := gateway.Run(inst.Net.G, inst.C, gateway.ACLMST)
-				router := routing.New(inst.Net.G, inst.C, res)
+				out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+				if err != nil {
+					return t, err
+				}
+				router := routing.New(inst.Net.G, inst.C, out.Gateway)
 				t.stretch = &metrics.Sample{}
 				for p := 0; p < pairs; p++ {
 					src, dst := rng.Intn(n), rng.Intn(n)
@@ -287,16 +295,25 @@ func ClusteringComparison(ctx context.Context, cfg RunConfig, degree float64, k 
 		lh, mh := &metrics.Sample{}, &metrics.Sample{}
 		r := cfg.runner(fmt.Sprintf("comparison/d=%g/k=%d/n=%d", degree, k, n))
 		_, err := RunTrials(ctx, r,
-			func(_ context.Context, _ int, rng *rand.Rand) ([4]float64, error) {
+			func(ctx context.Context, _ int, rng *rand.Rand) ([4]float64, error) {
 				inst, err := NewInstance(n, degree, k, cluster.AffiliationID, nil, rng)
 				if err != nil {
 					return [4]float64{}, err
 				}
 				mmC := maxmin.Run(inst.Net.G, k)
+				fg := graph.Flatten(inst.Net.G)
+				low, err := core.Connect(ctx, inst.Net.G, fg, inst.C, gateway.ACLMST, nil, nil)
+				if err != nil {
+					return [4]float64{}, err
+				}
+				mm, err := core.Connect(ctx, inst.Net.G, fg, mmC, gateway.ACLMST, nil, nil)
+				if err != nil {
+					return [4]float64{}, err
+				}
 				return [4]float64{
-					float64(gateway.Run(inst.Net.G, inst.C, gateway.ACLMST).CDSSize()),
+					float64(low.Gateway.CDSSize()),
 					float64(inst.C.NumClusters()),
-					float64(gateway.Run(inst.Net.G, mmC, gateway.ACLMST).CDSSize()),
+					float64(mm.Gateway.CDSSize()),
 					float64(mmC.NumClusters()),
 				}, nil
 			},

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
@@ -240,12 +241,16 @@ func AblationAffiliation(ctx context.Context, cfg RunConfig, degree float64, k i
 			s := &metrics.Sample{}
 			r := cfg.runner(fmt.Sprintf("ablation-aff/%s/d=%g/k=%d/n=%d", aff, degree, k, nn))
 			_, err := RunTrials(ctx, r,
-				func(_ context.Context, _ int, rng *rand.Rand) (float64, error) {
+				func(ctx context.Context, _ int, rng *rand.Rand) (float64, error) {
 					inst, err := NewInstance(nn, degree, k, aff, nil, rng)
 					if err != nil {
 						return 0, err
 					}
-					return float64(gateway.Run(inst.Net.G, inst.C, gateway.ACLMST).CDSSize()), nil
+					out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+					if err != nil {
+						return 0, err
+					}
+					return float64(out.Gateway.CDSSize()), nil
 				},
 				func(_ int, v float64) (bool, error) {
 					s.Add(v)
@@ -278,7 +283,7 @@ func AblationPriority(ctx context.Context, cfg RunConfig, degree float64, k int)
 			s := &metrics.Sample{}
 			r := cfg.runner(fmt.Sprintf("ablation-prio/%s/d=%g/k=%d/n=%d", label, degree, k, nn))
 			_, err := RunTrials(ctx, r,
-				func(_ context.Context, _ int, rng *rand.Rand) (float64, error) {
+				func(ctx context.Context, _ int, rng *rand.Rand) (float64, error) {
 					// Priority may depend on the generated graph (degree), so
 					// build the instance in two steps.
 					net, err := genConnected(nn, degree, rng)
@@ -289,8 +294,11 @@ func AblationPriority(ctx context.Context, cfg RunConfig, degree float64, k int)
 					if label == "highest-degree" {
 						prio = cluster.NewHighestDegree(net.G)
 					}
-					c := cluster.Run(net.G, cluster.Options{K: k, Priority: prio})
-					return float64(gateway.Run(net.G, c, gateway.ACLMST).CDSSize()), nil
+					out, err := core.BuildCtx(ctx, net.G, core.Options{K: k, Algorithm: gateway.ACLMST, Priority: prio})
+					if err != nil {
+						return 0, err
+					}
+					return float64(out.Gateway.CDSSize()), nil
 				},
 				func(_ int, v float64) (bool, error) {
 					s.Add(v)

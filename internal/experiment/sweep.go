@@ -17,7 +17,9 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/udg"
 )
@@ -113,14 +115,21 @@ func CDSSweep(ctx context.Context, cfg SweepConfig) (*Figure, error) {
 		}
 		r := cfg.runner(fmt.Sprintf("cds/d=%g/k=%d/n=%d", cfg.Degree, cfg.K, n))
 		_, err := RunTrials(ctx, r,
-			func(_ context.Context, _ int, rng *rand.Rand) ([]float64, error) {
+			func(ctx context.Context, _ int, rng *rand.Rand) ([]float64, error) {
 				inst, err := NewInstance(n, cfg.Degree, cfg.K, cfg.Affiliation, cfg.Priority, rng)
 				if err != nil {
 					return nil, err
 				}
+				// Every algorithm connects the same clustering, over one
+				// CSR snapshot.
+				fg := graph.Flatten(inst.Net.G)
 				vals := make([]float64, len(cfg.Algorithms))
 				for i, algo := range cfg.Algorithms {
-					vals[i] = float64(gateway.Run(inst.Net.G, inst.C, algo).CDSSize())
+					out, err := core.Connect(ctx, inst.Net.G, fg, inst.C, algo, nil, nil)
+					if err != nil {
+						return nil, err
+					}
+					vals[i] = float64(out.Gateway.CDSSize())
 				}
 				return vals, nil
 			},
@@ -168,13 +177,16 @@ func HeadsAndCDSSweep(ctx context.Context, cfg SweepConfig) (heads, cdsSize Seri
 		hs, cs := &metrics.Sample{}, &metrics.Sample{}
 		r := cfg.runner(fmt.Sprintf("heads/d=%g/k=%d/n=%d", cfg.Degree, cfg.K, n))
 		_, rerr := RunTrials(ctx, r,
-			func(_ context.Context, _ int, rng *rand.Rand) ([2]float64, error) {
+			func(ctx context.Context, _ int, rng *rand.Rand) ([2]float64, error) {
 				inst, err := NewInstance(n, cfg.Degree, cfg.K, cfg.Affiliation, cfg.Priority, rng)
 				if err != nil {
 					return [2]float64{}, err
 				}
-				res := gateway.Run(inst.Net.G, inst.C, gateway.ACLMST)
-				return [2]float64{float64(inst.C.NumClusters()), float64(res.CDSSize())}, nil
+				out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+				if err != nil {
+					return [2]float64{}, err
+				}
+				return [2]float64{float64(inst.C.NumClusters()), float64(out.Gateway.CDSSize())}, nil
 			},
 			func(_ int, v [2]float64) (bool, error) {
 				hs.Add(v[0])

@@ -11,12 +11,25 @@
 //     by hop count (ID tiebreak); every head runs LMST on its virtual
 //     1-hop neighborhood and keeps only links to its on-tree neighbors;
 //     intermediate nodes on kept links become gateways.
-//   - GMST: centralized global minimum spanning tree over all heads,
-//     used by the paper as the lower-bound baseline.
+//   - GMST: centralized global minimum spanning tree over all heads
+//     (weight = hop distance, ID tiebreak), used by the paper as the
+//     lower-bound baseline.
 //
 // Combined with the neighbor selection rules of package ncr these yield
 // the paper's four localized algorithms (NC-Mesh, AC-Mesh, NC-LMST,
 // AC-LMST) plus the G-MST baseline.
+//
+// G-MST runs on the NC virtual graph, not on the complete graph of head
+// pairs, and still yields the global MST. Every node lies within k hops
+// of its head, so for any cut of a component's heads some graph edge
+// (u, v) joins a cluster on one side to a cluster on the other, and the
+// two heads are at most k+1+k = 2k+1 hops apart: an NC pair crosses
+// every cut. Each edge of the (unique, WEdge.Less-ordered) complete-graph
+// MST is the minimum across some cut, so it weighs no more than that NC
+// pair and is itself within 2k+1 hops, hence NC-selected; the two MSTs
+// are the same tree, per component. The argument needs only k-hop
+// domination, which every clustering here has (centralized, Max-Min and
+// churn-repaired alike).
 package gateway
 
 import (
@@ -70,8 +83,10 @@ func (a Algorithm) String() string {
 
 // NeighborRule returns the neighbor clusterhead selection rule the
 // pipeline runs on: A-NCR for the AC algorithms, NC otherwise. G-MST
-// connects all head pairs centrally; NC is its selection for inspection
-// purposes. An unknown algorithm panics.
+// takes its global MST over the NC virtual graph, which holds every
+// edge of the MST over all head pairs (see the package doc: NC pairs
+// cross every cut of a k-hop dominated clustering's heads). An unknown
+// algorithm panics.
 func (a Algorithm) NeighborRule() ncr.Rule {
 	switch a {
 	case ACMesh, ACLMST:
@@ -105,51 +120,24 @@ func (r *Result) NumGateways() int { return len(r.Gateways) }
 // CDSSize returns |heads ∪ gateways|, the paper's main metric.
 func (r *Result) CDSSize() int { return len(r.CDS) }
 
-// Run executes the full pipeline for the given algorithm.
-func Run(g *graph.Graph, c *cluster.Clustering, algo Algorithm) *Result {
-	res, err := RunCtx(context.Background(), g, c, algo, nil)
-	if err != nil {
-		panic(err.Error()) // Background context cannot be cancelled
-	}
-	return res
-}
-
-// RunCtx executes the full pipeline for the given algorithm, honoring
-// cancellation between the per-pair and per-head steps of the selection
-// hot loops and reusing s's BFS buffers across them (nil is valid). It
-// flattens g once and shares the snapshot between the neighbor and the
-// gateway selection stages.
-func RunCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, algo Algorithm, s *graph.Scratch) (*Result, error) {
-	rule := algo.NeighborRule()
-	fg := graph.Flatten(g)
-	var sel *ncr.Selection
-	if algo != GMST {
-		var err error
-		if sel, err = ncr.SelectPar(ctx, g, fg, c, rule, s, nil); err != nil {
-			return nil, err
-		}
-	}
-	return runSelected(ctx, fg, c, sel, algo, s, nil, nil)
-}
-
 // RunSelectedPar runs the gateway-selection stage for algo over an
 // already-computed neighbor selection, for callers (like internal/core)
 // that need the selection themselves and should not pay for it twice.
-// GMST connects all head pairs centrally and ignores sel.
+// sel must be the selection by algo.NeighborRule(); G-MST takes the MST
+// of its virtual graph.
 //
-// The per-pair shortest-path computations, the per-head local MSTs
-// (LMSTGA), and G-MST's per-head distance passes shard across pool's
-// workers. The Result — links, paths, gateways, CDS — is identical to a
-// serial run for any worker count: every sharded item is an independent
-// read-only computation whose outputs merge in the serial order. A nil
-// pool (or one worker) runs the same loops as one shard.
+// The per-pair shortest-path computations and the per-head local MSTs
+// (LMSTGA) shard across pool's workers. The Result — links, paths,
+// gateways, CDS — is identical to a serial run for any worker count:
+// every sharded item is an independent read-only computation whose
+// outputs merge in the serial order. A nil pool (or one worker) runs the
+// same loops as one shard.
 //
 // The BFS fan-outs run on fg, the CSR snapshot of g (nil makes
 // RunSelectedPar flatten g itself): per-pair shortest paths group by
-// source into one shared early-exiting walk per head, and G-MST's
-// per-head distance rows run as multi-source sweeps, 64 heads per
-// frontier pass. Paths break ties toward the smallest-ID parent one hop
-// closer to the source, as Graph.ShortestPath does.
+// source into one shared early-exiting walk per head. Paths break ties
+// toward the smallest-ID parent one hop closer to the source, as
+// Graph.ShortestPath does.
 func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, pool *partition.Pool) (*Result, error) {
 	if fg == nil {
 		fg = graph.Flatten(g)
@@ -171,10 +159,10 @@ func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c 
 // Reused paths were shortest when first computed; a later Join can
 // introduce a shorter alternative that only a full re-run would find.
 // That keeps repairs local at the cost of (bounded) path staleness,
-// exactly the trade the paper makes for maintenance. GMST, centralized
-// by definition, ignores prev and recomputes from scratch. fg is the CSR
-// snapshot of g, as for RunSelectedPar; nil makes RunSelectedFrom
-// flatten g itself.
+// exactly the trade the paper makes for maintenance. GMST ignores prev
+// and recomputes every path, so its weights stay true hop distances and
+// its tree the global MST. fg is the CSR snapshot of g, as for
+// RunSelectedPar; nil makes RunSelectedFrom flatten g itself.
 func RunSelectedFrom(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, prev *Result, dirty map[int]bool) (*Result, error) {
 	if fg == nil {
 		fg = graph.Flatten(g)
@@ -209,7 +197,7 @@ func runSelected(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering
 	case NCLMST, ACLMST:
 		return lmstCtx(ctx, fg, c, sel, algo, KeepUnion, s, cache, pool)
 	case GMST:
-		return globalMSTCtx(ctx, fg, c, s, pool)
+		return globalMSTCtx(ctx, fg, c, sel, s, pool)
 	default:
 		panic(fmt.Sprintf("gateway: unknown algorithm %d", int(algo)))
 	}
@@ -285,14 +273,10 @@ func pathIntact(g *graph.Graph, path []int) bool {
 	return len(path) > 0
 }
 
-// Mesh marks, for every selected neighbor head pair, the intermediate
-// nodes of the deterministic shortest path between the two heads as
-// gateways (the mesh-based scheme: exactly one gateway path per pair).
-func Mesh(g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm) *Result {
-	res, _ := meshCtx(context.Background(), graph.Flatten(g), c, sel, label, nil, nil, nil)
-	return res
-}
-
+// meshCtx marks, for every selected neighbor head pair, the
+// intermediate nodes of the deterministic shortest path between the two
+// heads as gateways (the mesh-based scheme: exactly one gateway path per
+// pair).
 func meshCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, label Algorithm, s *graph.Scratch, cache map[[2]int][]int, pool *partition.Pool) (*Result, error) {
 	res := newResult(label)
 	pairs := sel.Pairs()
@@ -387,105 +371,23 @@ func lmstCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, se
 	return res, nil
 }
 
-// GlobalMST computes the centralized lower-bound baseline: a minimum
-// spanning tree over the complete virtual graph of all head pairs
-// (weight = hop distance, ID tiebreak), with intermediate path nodes as
+// globalMSTCtx computes the centralized lower-bound baseline: the
+// minimum spanning forest of the NC virtual graph sel (weight = hop
+// distance, ID tiebreak), which is the MST over all head pairs (see the
+// package doc), with the intermediate nodes of the tree links' paths as
 // gateways.
-func GlobalMST(g *graph.Graph, c *cluster.Clustering) *Result {
-	res, _ := globalMSTCtx(context.Background(), graph.Flatten(g), c, nil, nil)
-	return res
-}
-
-func globalMSTCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, s *graph.Scratch, pool *partition.Pool) (*Result, error) {
-	dists, err := headDistRows(ctx, fg, c.Heads, s, pool)
+func globalMSTCtx(ctx context.Context, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, s *graph.Scratch, pool *partition.Pool) (*Result, error) {
+	vg, paths, err := virtualGraphCtx(ctx, fg, sel, s, nil, pool)
 	if err != nil {
 		return nil, err
 	}
-	vg := graph.NewWGraph(c.Heads, dists)
 	res := newResult(GMST)
-	// Paths are only materialized for the |H|-1 chosen tree edges; the
-	// deterministic tie-breaking makes the path independent of when it is
-	// computed, so this matches building every pair's path up front. The
-	// per-edge path computations shard like any other pair fan-out.
-	mst := vg.MST()
-	links := make([][2]int, len(mst))
-	for i, e := range mst {
-		links[i] = canon(e.U, e.V)
-	}
-	paths, err := shortestPaths(ctx, fg, links, s, nil, pool)
-	if err != nil {
-		return nil, err
-	}
-	for i, link := range links {
-		res.addLink(link[0], link[1], paths[i])
+	for _, e := range vg.MST() {
+		link := canon(e.U, e.V)
+		res.addLink(link[0], link[1], paths[link])
 	}
 	res.finish(c)
 	return res, nil
-}
-
-// headDistRows computes the hop distance of every connected pair of
-// heads, as edges (heads[i], heads[j], d) for i < j, ordered by i and
-// then by the far head: row i is what a whole-graph BFS from heads[i] sees of
-// heads[i+1:]. This is the BFS-dominated pass of G-MST. The rows come
-// from unbounded multi-source sweeps, 64 heads per frontier pass, the
-// head list cut into graph-locality blocks (FlatGraph.LocalityOrder) so
-// each sweep's sources share their frontiers; blocks shard across the
-// pool, each shard owning its rows. Each row fills its own slots of one
-// triangular buffer and is sorted by the far head, and the rows are then
-// packed in place, so the distances are held once.
-func headDistRows(ctx context.Context, fg *graph.FlatGraph, heads []int, s *graph.Scratch, pool *partition.Pool) ([]graph.WEdge, error) {
-	h := len(heads)
-	buf := make([]graph.WEdge, h*(h-1)/2)
-	rows := make([][]graph.WEdge, h)
-	for i, at := 0, 0; i < h; i++ {
-		rows[i] = buf[at : at : at+h-1-i]
-		at += h - 1 - i
-	}
-	perm := fg.LocalityOrder(heads)
-	headIdx := make([]int32, fg.N()) // headIdx[v] = index of v in heads, -1 for non-heads
-	for v := range headIdx {
-		headIdx[v] = -1
-	}
-	for i, h := range heads {
-		headIdx[h] = int32(i)
-	}
-	err := pool.Shard(ctx, len(heads), s, func(_ int, bs *graph.Scratch, r partition.Range) error {
-		var block [64]int
-		for base := r.Start; base < r.End; base += 64 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			idxs := perm[base:min(base+64, r.End)]
-			for i, pi := range idxs {
-				block[i] = heads[pi]
-			}
-			fg.MSBFS(bs.MS(), block[:len(idxs)], -1, func(v, d int, mask uint64) bool {
-				j := headIdx[v]
-				if j < 0 {
-					return true
-				}
-				graph.EachBit(mask, func(i int) {
-					if iu := idxs[i]; iu < int(j) {
-						rows[iu] = append(rows[iu], graph.WEdge{U: block[i], V: v, Weight: d})
-					}
-				})
-				return true
-			})
-		}
-		for _, pi := range perm[r.Start:r.End] {
-			row := rows[pi]
-			sort.Slice(row, func(a, b int) bool { return row[a].V < row[b].V })
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, row := range rows {
-		n += copy(buf[n:], row)
-	}
-	return buf[:n], nil
 }
 
 // virtualGraphCtx builds the weighted virtual graph of a neighbor

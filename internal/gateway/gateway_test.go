@@ -23,6 +23,34 @@ func testInstance(t testing.TB, n int, deg float64, k int, seed int64) (*graph.G
 	return net.G, cluster.Run(net.G, cluster.Options{K: k})
 }
 
+// run is the full pipeline for algo on c: ncr.SelectPar by
+// algo.NeighborRule() (or the given sel), then RunSelectedPar.
+func run(t testing.TB, g *graph.Graph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm) *Result {
+	t.Helper()
+	ctx := context.Background()
+	if sel == nil {
+		var err error
+		if sel, err = ncr.SelectPar(ctx, g, nil, c, algo.NeighborRule(), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := RunSelectedPar(ctx, g, nil, c, sel, algo, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// selectNC is the NC selection of c.
+func selectNC(t testing.TB, g *graph.Graph, c *cluster.Clustering) *ncr.Selection {
+	t.Helper()
+	sel, err := ncr.SelectPar(context.Background(), g, nil, c, ncr.RuleNC, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 func TestAlgorithmString(t *testing.T) {
 	want := map[Algorithm]string{
 		NCMesh: "NC-Mesh", ACMesh: "AC-Mesh", NCLMST: "NC-LMST",
@@ -63,7 +91,7 @@ func TestRunUnknownAlgorithmPanics(t *testing.T) {
 			t.Fatal("unknown algorithm did not panic")
 		}
 	}()
-	Run(g, c, Algorithm(42))
+	run(t, g, c, nil, Algorithm(42))
 }
 
 // TestTheorem2AllAlgorithms: the heads plus selected gateways form a
@@ -75,7 +103,7 @@ func TestTheorem2AllAlgorithms(t *testing.T) {
 		for seed := int64(0); seed < 6; seed++ {
 			g, c := testInstance(t, 70, 6, k, 300*int64(k)+seed)
 			for _, algo := range Algorithms {
-				res := Run(g, c, algo)
+				res := run(t, g, c, nil, algo)
 				if err := cds.CheckHeadsConnected(g, res.CDS, c.Heads); err != nil {
 					t.Fatalf("k=%d seed=%d %v: %v", k, seed, algo, err)
 				}
@@ -96,7 +124,7 @@ func TestGatewaysAreNonHeads(t *testing.T) {
 		headSet[h] = true
 	}
 	for _, algo := range Algorithms {
-		res := Run(g, c, algo)
+		res := run(t, g, c, nil, algo)
 		for _, gw := range res.Gateways {
 			if headSet[gw] {
 				t.Fatalf("%v: head %d listed as gateway", algo, gw)
@@ -114,7 +142,7 @@ func TestGatewaysAreNonHeads(t *testing.T) {
 func TestPathsAreValid(t *testing.T) {
 	g, c := testInstance(t, 80, 6, 2, 9)
 	for _, algo := range Algorithms {
-		res := Run(g, c, algo)
+		res := run(t, g, c, nil, algo)
 		if len(res.Links) != len(res.Paths) {
 			t.Fatalf("%v: %d links vs %d paths", algo, len(res.Links), len(res.Paths))
 		}
@@ -137,7 +165,7 @@ func TestPathsAreValid(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	g, c := testInstance(t, 70, 6, 2, 13)
 	for _, algo := range Algorithms {
-		a, b := Run(g, c, algo), Run(g, c, algo)
+		a, b := run(t, g, c, nil, algo), run(t, g, c, nil, algo)
 		if !reflect.DeepEqual(a.Gateways, b.Gateways) || !reflect.DeepEqual(a.Links, b.Links) {
 			t.Fatalf("%v nondeterministic", algo)
 		}
@@ -167,7 +195,7 @@ func TestLMSTPrunesMesh(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g, c := testInstance(t, 80, 6, 2, 500+seed)
 		sel := ncr.ANCR(g, c)
-		mesh := Mesh(g, c, sel, ACMesh)
+		mesh := run(t, g, c, sel, ACMesh)
 		lmst := LMST(g, c, sel, ACLMST, KeepUnion)
 		if len(lmst.Links) > len(mesh.Links) {
 			t.Fatalf("seed %d: LMST kept %d links, mesh %d", seed, len(lmst.Links), len(mesh.Links))
@@ -219,7 +247,7 @@ func TestKeepRuleString(t *testing.T) {
 // tree over the heads.
 func TestGMSTIsSpanningTree(t *testing.T) {
 	g, c := testInstance(t, 90, 6, 2, 23)
-	res := GlobalMST(g, c)
+	res := run(t, g, c, nil, GMST)
 	if len(res.Links) != len(c.Heads)-1 {
 		t.Fatalf("G-MST has %d links for %d heads", len(res.Links), len(c.Heads))
 	}
@@ -246,9 +274,9 @@ func TestGMSTLowerBoundTendency(t *testing.T) {
 	const trials = 10
 	for seed := int64(0); seed < trials; seed++ {
 		g, c := testInstance(t, 80, 6, 2, 900+seed)
-		gm := Run(g, c, GMST).CDSSize()
-		ncm := Run(g, c, NCMesh).CDSSize()
-		acl := Run(g, c, ACLMST).CDSSize()
+		gm := run(t, g, c, nil, GMST).CDSSize()
+		ncm := run(t, g, c, nil, NCMesh).CDSSize()
+		acl := run(t, g, c, nil, ACLMST).CDSSize()
 		if gm <= ncm && gm <= acl {
 			wins++
 		}
@@ -300,7 +328,7 @@ func TestSingleClusterNoGateways(t *testing.T) {
 	}
 	c := cluster.Run(g, cluster.Options{K: 1})
 	for _, algo := range Algorithms {
-		res := Run(g, c, algo)
+		res := run(t, g, c, nil, algo)
 		if res.NumGateways() != 0 {
 			t.Fatalf("%v selected gateways in a single-cluster network", algo)
 		}
@@ -314,8 +342,8 @@ func TestSingleClusterNoGateways(t *testing.T) {
 // selected pair (paths map is keyed by canonical pair).
 func TestMeshPathUniqueness(t *testing.T) {
 	g, c := testInstance(t, 80, 6, 2, 37)
-	sel := ncr.NC(g, c)
-	res := Mesh(g, c, sel, NCMesh)
+	sel := selectNC(t, g, c)
+	res := run(t, g, c, sel, NCMesh)
 	if len(res.Paths) != sel.NumPairs() {
 		t.Fatalf("mesh installed %d paths for %d pairs", len(res.Paths), sel.NumPairs())
 	}
@@ -331,7 +359,7 @@ func TestHeadsOnPathNotGateways(t *testing.T) {
 		g.AddEdge(i, i+1)
 	}
 	c := cluster.Run(g, cluster.Options{K: 1})
-	res := Run(g, c, NCMesh)
+	res := run(t, g, c, nil, NCMesh)
 	headSet := map[int]bool{0: true, 2: true, 4: true, 6: true}
 	for _, gw := range res.Gateways {
 		if headSet[gw] {
@@ -348,7 +376,7 @@ func TestWuLouSelectionConnects(t *testing.T) {
 		g, c := testInstance(t, 80, 6, 1, 1100+seed)
 		sel := ncr.WuLou(g, c)
 		for _, res := range []*Result{
-			Mesh(g, c, sel, NCMesh),
+			run(t, g, c, sel, NCMesh),
 			LMST(g, c, sel, NCLMST, KeepUnion),
 		} {
 			if err := cds.CheckHeadsConnected(g, res.CDS, c.Heads); err != nil {
@@ -356,9 +384,9 @@ func TestWuLouSelectionConnects(t *testing.T) {
 			}
 		}
 		// Sandwich in gateway counts: AC ≤ WuLou ≤ NC under mesh.
-		ac := Mesh(g, c, ncr.ANCR(g, c), ACMesh).CDSSize()
-		wl := Mesh(g, c, sel, NCMesh).CDSSize()
-		nc := Mesh(g, c, ncr.NC(g, c), NCMesh).CDSSize()
+		ac := run(t, g, c, ncr.ANCR(g, c), ACMesh).CDSSize()
+		wl := run(t, g, c, sel, NCMesh).CDSSize()
+		nc := run(t, g, c, selectNC(t, g, c), NCMesh).CDSSize()
 		if !(ac <= wl && wl <= nc) {
 			t.Fatalf("seed %d: CDS sizes AC=%d WuLou=%d NC=%d not sandwiched", seed, ac, wl, nc)
 		}
@@ -372,7 +400,7 @@ func TestWuLouSelectionConnects(t *testing.T) {
 func TestRunSelectedFromMatchesFullRun(t *testing.T) {
 	for _, algo := range Algorithms {
 		g, c := testInstance(t, 90, 7, 2, 211)
-		sel, err := ncr.SelectPar(context.Background(), g, nil, c, ruleOf(algo), nil, nil)
+		sel, err := ncr.SelectPar(context.Background(), g, nil, c, algo.NeighborRule(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,15 +419,6 @@ func TestRunSelectedFromMatchesFullRun(t *testing.T) {
 	}
 }
 
-func ruleOf(algo Algorithm) ncr.Rule {
-	switch algo {
-	case ACMesh, ACLMST:
-		return ncr.RuleANCR
-	default:
-		return ncr.RuleNC
-	}
-}
-
 // TestRunSelectedFromAfterRemoval: sever a gateway's edges and re-run
 // incrementally over the same selection. Links whose paths broke (or
 // touch dirty heads) are recomputed and the rest reuse their cached
@@ -410,7 +429,10 @@ func ruleOf(algo Algorithm) ncr.Rule {
 func TestRunSelectedFromAfterRemoval(t *testing.T) {
 	for _, algo := range []Algorithm{ACLMST, NCLMST, ACMesh} {
 		g, c := testInstance(t, 90, 7, 2, 223)
-		sel := ncr.Select(g, c, ruleOf(algo))
+		sel, err := ncr.SelectPar(context.Background(), g, nil, c, algo.NeighborRule(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		before, err := RunSelectedPar(context.Background(), g, nil, c, sel, algo, nil, nil)
 		if err != nil {
 			t.Fatal(err)

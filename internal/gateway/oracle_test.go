@@ -2,9 +2,9 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -48,7 +48,7 @@ func scalarPaths(g *graph.Graph, pairs [][2]int, cache map[[2]int][]int) [][]int
 	return out
 }
 
-// scalarHeadDistRows is the scalar oracle of headDistRows: one
+// scalarHeadDistRows is every connected head pair's hop distance: one
 // whole-graph BFS per head, keeping the reachable later heads.
 func scalarHeadDistRows(g *graph.Graph, heads []int) []graph.WEdge {
 	s := graph.NewScratch()
@@ -64,10 +64,45 @@ func scalarHeadDistRows(g *graph.Graph, heads []int) []graph.WEdge {
 	return rows
 }
 
+// denseGMST is the dense oracle of G-MST: the minimum spanning forest of
+// the complete virtual graph over every connected head pair
+// (scalarHeadDistRows), each tree link routed by Graph.ShortestPath.
+func denseGMST(g *graph.Graph, c *cluster.Clustering) *Result {
+	res := newResult(GMST)
+	for _, e := range graph.NewWGraph(c.Heads, scalarHeadDistRows(g, c.Heads)).MST() {
+		link := canon(e.U, e.V)
+		res.addLink(link[0], link[1], g.ShortestPath(link[0], link[1]))
+	}
+	res.finish(c)
+	return res
+}
+
+// checkGMST fails unless G-MST on the NC virtual graph, serial and on
+// three workers, deep-equals the dense oracle.
+func checkGMST(t *testing.T, label string, g *graph.Graph, c *cluster.Clustering) {
+	t.Helper()
+	ctx := context.Background()
+	want := denseGMST(g, c)
+	fg := graph.Flatten(g)
+	for _, p := range []*partition.Pool{nil, partition.NewPool(3)} {
+		sel, err := ncr.SelectPar(ctx, g, fg, c, GMST.NeighborRule(), nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunSelectedPar(ctx, g, fg, c, sel, GMST, nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s workers=%d: G-MST differs from the dense oracle:\n got %+v\nwant %+v", label, p.Workers(), got, want)
+		}
+	}
+}
+
 // oraclePairs is the NC selection's head pairs plus random head pairs,
 // which on a disconnected graph include unreachable ones.
-func oraclePairs(g *graph.Graph, c *cluster.Clustering, rng *rand.Rand) [][2]int {
-	pairs := ncr.NC(g, c).Pairs()
+func oraclePairs(t *testing.T, g *graph.Graph, c *cluster.Clustering, rng *rand.Rand) [][2]int {
+	pairs := selectNC(t, g, c).Pairs()
 	for i := 0; i < 40 && len(c.Heads) > 1; i++ {
 		u, v := c.Heads[rng.Intn(len(c.Heads))], c.Heads[rng.Intn(len(c.Heads))]
 		if u != v {
@@ -103,10 +138,10 @@ func TestShortestPathsMatchScalarOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for k := 1; k <= 3; k++ {
 			c := cluster.Run(g, cluster.Options{K: k})
-			pairs := oraclePairs(g, c, rng)
+			pairs := oraclePairs(t, g, c, rng)
 			check("cold", g, pairs, nil)
 
-			prev := Mesh(g, c, ncr.NC(g, c), NCMesh)
+			prev := run(t, g, c, nil, NCMesh)
 			churned := g.Clone()
 			dirty := map[int]bool{}
 			for _, v := range prev.Gateways[:min(2, len(prev.Gateways))] {
@@ -130,26 +165,43 @@ func TestShortestPathsMatchScalarOracle(t *testing.T) {
 	}
 }
 
-// TestHeadDistRowsMatchScalarOracle: the batched G-MST distance rows,
-// serial and sharded, equal one whole-graph BFS row per head.
-func TestHeadDistRowsMatchScalarOracle(t *testing.T) {
-	ctx := context.Background()
-	pool := partition.NewPool(3)
+// TestGMSTMatchesDenseOracle: the MST of the NC virtual graph is the
+// MST over all head pairs, links, paths and gateways alike, on the
+// oracle graphs (connected, disconnected, and with departed slots).
+func TestGMSTMatchesDenseOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := oracleGraph(t, seed)
-		fg := graph.Flatten(g)
 		for k := 1; k <= 3; k++ {
-			c := cluster.Run(g, cluster.Options{K: k})
-			want := scalarHeadDistRows(g, c.Heads)
-			for _, p := range []*partition.Pool{nil, pool} {
-				got, err := headDistRows(ctx, fg, c.Heads, nil, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d k=%d workers=%d: distance rows differ from the scalar oracle", seed, k, p.Workers())
-				}
-			}
+			checkGMST(t, fmt.Sprintf("seed %d k=%d", seed, k), g, cluster.Run(g, cluster.Options{K: k}))
 		}
 	}
+}
+
+// FuzzGMST: on arbitrary graphs (n ≤ 120, isolated nodes and
+// disconnected parts included, k in 1..4), G-MST on the NC virtual graph
+// equals the dense oracle for one and three workers.
+func FuzzGMST(f *testing.F) {
+	f.Add([]byte{8, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7})
+	f.Add([]byte{30, 2, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 20, 21, 21, 22, 22, 23})
+	f.Add([]byte{119, 3, 1, 2, 3, 4, 9, 17, 17, 33, 5, 9, 21, 30, 30, 2, 60, 61, 61, 90})
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n := 1 + next()%120
+		k := 1 + next()%4
+		g := graph.New(n)
+		for len(data) >= 2 {
+			if u, v := next()%n, next()%n; u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		checkGMST(t, fmt.Sprintf("n=%d k=%d", n, k), g, cluster.Run(g, cluster.Options{K: k}))
+	})
 }

@@ -61,12 +61,14 @@ func (f *FlatGraph) ranks() []int32 {
 }
 
 // preorder computes the DFS discovery rank of every vertex: an
-// iterative depth-first walk that pops the smallest-ID unvisited
-// neighbor first and starts a new tree at each unvisited vertex in
-// ascending ID order. The walk is deterministic, O(V+E), and its
-// discovery sequence meanders through the graph one edge at a time, so
-// consecutive ranks are graph-adjacent except at backtrack jumps —
-// exactly the locality key batched BFS wants.
+// iterative depth-first walk that descends into the smallest-ID
+// unvisited neighbor first and starts a new tree at each unvisited
+// vertex in ascending ID order. The walk is deterministic, O(V+E), and
+// its discovery sequence meanders through the graph one edge at a time,
+// so consecutive ranks are graph-adjacent except at backtrack jumps —
+// exactly the locality key batched BFS wants. Its stack holds one
+// (vertex, next-neighbor) frame per vertex on the current DFS path, so
+// it stays within O(V) however dense the graph.
 func preorder(f *FlatGraph) []int32 {
 	n := f.N()
 	rank := make([]int32, n)
@@ -74,25 +76,27 @@ func preorder(f *FlatGraph) []int32 {
 		rank[v] = -1
 	}
 	var next int32
-	stack := make([]int32, 0, 64)
+	type frame struct{ v, at int32 } // at: offset of v's next neighbor in nbr
+	var stack []frame
 	for s := 0; s < n; s++ {
 		if rank[s] >= 0 {
 			continue
 		}
-		stack = append(stack, int32(s))
+		rank[s] = next
+		next++
+		stack = append(stack, frame{int32(s), f.off[s]})
 		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if rank[u] >= 0 {
+			top := &stack[len(stack)-1]
+			if top.at == f.off[top.v+1] {
+				stack = stack[:len(stack)-1]
 				continue
 			}
-			rank[u] = next
-			next++
-			nbr := f.nbr[f.off[u]:f.off[u+1]]
-			for i := len(nbr) - 1; i >= 0; i-- { // reversed: min-ID neighbor pops first
-				if rank[nbr[i]] < 0 {
-					stack = append(stack, nbr[i])
-				}
+			w := f.nbr[top.at]
+			top.at++
+			if rank[w] < 0 {
+				rank[w] = next
+				next++
+				stack = append(stack, frame{w, f.off[w]})
 			}
 		}
 	}

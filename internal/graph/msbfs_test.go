@@ -332,6 +332,9 @@ func FuzzMSBFSDifferential(f *testing.F) {
 			maxHops = -1
 		}
 		checkMSBFSAgainstScalar(t, g, fg, sources, maxHops)
+		if got, want := preorder(fg), pushAllPreorder(fg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("preorder ranks %v, push-all walk %v", got, want)
+		}
 		s := NewScratch()
 		paths := fg.ShortestPathsFrom(s, sources[0], sources)
 		for i, dst := range sources {

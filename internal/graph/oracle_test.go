@@ -3,6 +3,7 @@ package graph
 import (
 	"container/heap"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -341,4 +342,58 @@ func FuzzWGraph(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pushAllPreorder is the differential reference of preorder: the
+// iterative DFS that pushes every unvisited neighbor (reversed, so the
+// smallest ID pops first) and skips vertices already ranked when they
+// pop. Its stack grows to O(E).
+func pushAllPreorder(f *FlatGraph) []int32 {
+	n := f.N()
+	rank := make([]int32, n)
+	for v := range rank {
+		rank[v] = -1
+	}
+	var next int32
+	var stack []int32
+	for s := 0; s < n; s++ {
+		if rank[s] >= 0 {
+			continue
+		}
+		stack = append(stack, int32(s))
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if rank[u] >= 0 {
+				continue
+			}
+			rank[u] = next
+			next++
+			nbr := f.nbr[f.off[u]:f.off[u+1]]
+			for i := len(nbr) - 1; i >= 0; i-- {
+				if rank[nbr[i]] < 0 {
+					stack = append(stack, nbr[i])
+				}
+			}
+		}
+	}
+	return rank
+}
+
+// TestPreorderMatchesPushAllWalk: the frame-stack DFS ranks every vertex
+// exactly as the push-all walk does, on the locality tests' random
+// graphs (connected and multi-component) and on the empty and
+// single-vertex graphs.
+func TestPreorderMatchesPushAllWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	graphs := []*Graph{New(0), New(1)}
+	for trial := 0; trial < 30; trial++ {
+		graphs = append(graphs, msRandomGraph(rng, 2+rng.Intn(300), 1+rng.Float64()*5, trial%2 == 0))
+	}
+	for i, g := range graphs {
+		fg := Flatten(g)
+		if got, want := preorder(fg), pushAllPreorder(fg); !slices.Equal(got, want) {
+			t.Fatalf("graph %d (n=%d): preorder ranks %v, push-all walk %v", i, g.N(), got, want)
+		}
+	}
 }

@@ -1,11 +1,14 @@
 package maxmin
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/cds"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
 	"repro/internal/udg"
@@ -145,7 +148,7 @@ func TestGatewayPipelineOnMaxMin(t *testing.T) {
 		g := testNet(t, 70, 6, 300+int64(d))
 		c := Run(g, d)
 		for _, algo := range []gateway.Algorithm{gateway.ACLMST, gateway.NCMesh, gateway.GMST} {
-			res := gateway.Run(g, c, algo)
+			res := connect(t, g, c, algo)
 			if err := cds.CheckHeadsConnected(g, res.CDS, c.Heads); err != nil {
 				t.Fatalf("d=%d %v: %v", d, algo, err)
 			}
@@ -167,4 +170,14 @@ func TestHeadCountPlausible(t *testing.T) {
 	if len(c.Heads) < 1 || len(c.Heads) > g.N()/2 {
 		t.Fatalf("implausible head count %d", len(c.Heads))
 	}
+}
+
+// connect runs core.Connect for algo on the clustering c of g.
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+	tb.Helper()
+	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Gateway
 }

@@ -160,8 +160,13 @@ type Maintainer struct {
 // NewMaintainer builds the initial structure on a copy of g.
 func NewMaintainer(g *graph.Graph, k int, algo gateway.Algorithm) *Maintainer {
 	gc := g.Clone()
-	c := cluster.Run(gc, cluster.Options{K: k})
-	return adopt(gc, k, algo, c, gateway.Run(gc, c, algo))
+	out, err := core.BuildCtx(context.Background(), gc, core.Options{K: k, Algorithm: algo})
+	if err != nil {
+		panic(err.Error()) // only k < 1 fails: Background is never cancelled
+	}
+	m := adopt(gc, k, algo, out.Clustering, out.Gateway)
+	m.Sel = out.Selection
+	return m
 }
 
 // NewMaintainerFrom adopts an already-built structure instead of
@@ -713,7 +718,7 @@ func (m *Maintainer) ballDist(v, h int) int {
 func (m *Maintainer) refreshGateways(dirtyHeads map[int]bool) error {
 	ctx := context.Background()
 	fg := graph.Flatten(m.G)
-	sel, err := core.SelectionForPar(ctx, m.G, fg, m.C, m.Algo, m.scratch, nil)
+	sel, err := ncr.SelectPar(ctx, m.G, fg, m.C, m.Algo.NeighborRule(), m.scratch, nil)
 	if err != nil {
 		return err
 	}

@@ -3,13 +3,16 @@ package mobility
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cds"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/geom"
 	"repro/internal/graph"
+	"repro/internal/ncr"
 	"repro/internal/udg"
 )
 
@@ -108,7 +111,7 @@ func TestWaypointDeterministic(t *testing.T) {
 func TestClassify(t *testing.T) {
 	g := testGraph(t, 80, 6, 5)
 	c := cluster.Run(g, cluster.Options{K: 2})
-	res := gateway.Run(g, c, gateway.ACLMST)
+	res := connect(t, g, c, gateway.ACLMST)
 	counts := map[Role]int{}
 	for v := 0; v < g.N(); v++ {
 		counts[Classify(c, res, v)]++
@@ -523,48 +526,84 @@ func TestApplyBatchStopsOnCancelledContext(t *testing.T) {
 // joins, and moves in batches, with the maintained structure verified
 // after every batch.
 func TestChurnManyInvariants(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		g := testGraph(t, 60, 7, int64(67+k))
-		m := NewMaintainer(g, k, gateway.ACLMST)
-		rng := rand.New(rand.NewSource(int64(k) * 71))
-		alive := make([]bool, g.N())
-		for i := range alive {
-			alive[i] = true
+	for _, algo := range []gateway.Algorithm{gateway.ACLMST, gateway.GMST} {
+		for _, k := range []int{1, 2, 3} {
+			churnMany(t, algo, k)
 		}
-		liveNbrs := func(v int) []int {
-			var out []int
-			for _, w := range g.Neighbors(v) {
-				if alive[w] {
-					out = append(out, w)
-				}
-			}
-			return out
-		}
-		for batchNo := 0; batchNo < 12; batchNo++ {
-			var batch []Event
-			for len(batch) < 4 {
-				v := rng.Intn(g.N())
-				switch {
-				case !alive[v]:
-					alive[v] = true
-					batch = append(batch, Event{Kind: EventJoin, Node: v, Neighbors: liveNbrs(v)})
-				case rng.Intn(2) == 0:
-					alive[v] = false
-					batch = append(batch, Event{Kind: EventLeave, Node: v})
-				default:
-					batch = append(batch, Event{Kind: EventMove, Node: v, Neighbors: liveNbrs(v)})
-				}
-			}
-			if _, err := m.ApplyBatch(context.Background(), batch); err != nil {
-				t.Fatalf("k=%d batch %d: %v", k, batchNo, err)
-			}
-			checkMaintained(t, m)
-			for v := range alive {
-				if alive[v] != m.Alive(v) {
-					t.Fatalf("k=%d: liveness of %d diverged", k, v)
-				}
+	}
+}
+
+// churnMany applies random Leave/Join/Move batches to one Maintainer and
+// checks the invariants after each. A G-MST refresh must also equal the
+// MST over every head pair of the repaired clustering, though it runs
+// on the NC selection only.
+func churnMany(t *testing.T, algo gateway.Algorithm, k int) {
+	g := testGraph(t, 60, 7, int64(67+k))
+	m := NewMaintainer(g, k, algo)
+	rng := rand.New(rand.NewSource(int64(k) * 71))
+	alive := make([]bool, g.N())
+	for i := range alive {
+		alive[i] = true
+	}
+	liveNbrs := func(v int) []int {
+		var out []int
+		for _, w := range g.Neighbors(v) {
+			if alive[w] {
+				out = append(out, w)
 			}
 		}
+		return out
+	}
+	for batchNo := 0; batchNo < 12; batchNo++ {
+		var batch []Event
+		for len(batch) < 4 {
+			v := rng.Intn(g.N())
+			switch {
+			case !alive[v]:
+				alive[v] = true
+				batch = append(batch, Event{Kind: EventJoin, Node: v, Neighbors: liveNbrs(v)})
+			case rng.Intn(2) == 0:
+				alive[v] = false
+				batch = append(batch, Event{Kind: EventLeave, Node: v})
+			default:
+				batch = append(batch, Event{Kind: EventMove, Node: v, Neighbors: liveNbrs(v)})
+			}
+		}
+		reps, err := m.ApplyBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatalf("k=%d batch %d: %v", k, batchNo, err)
+		}
+		checkMaintained(t, m)
+		if algo == gateway.GMST && reps[0].BatchGatewayRuns > 0 {
+			checkGlobalMST(t, m)
+		}
+		for v := range alive {
+			if alive[v] != m.Alive(v) {
+				t.Fatalf("k=%d: liveness of %d diverged", k, v)
+			}
+		}
+	}
+}
+
+// checkGlobalMST compares m's G-MST with G-MST run on the complete
+// selection of every head pair, which takes the MST over all pairs.
+func checkGlobalMST(t *testing.T, m *Maintainer) {
+	t.Helper()
+	all := &ncr.Selection{Rule: ncr.RuleNC, K: m.K, Neighbors: make(map[int][]int, len(m.C.Heads))}
+	for _, h := range m.C.Heads {
+		all.Neighbors[h] = nil
+		for _, o := range m.C.Heads {
+			if o != h {
+				all.Neighbors[h] = append(all.Neighbors[h], o)
+			}
+		}
+	}
+	want, err := gateway.RunSelectedPar(context.Background(), m.G, nil, m.C, all, gateway.GMST, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.Res, want) {
+		t.Fatalf("refreshed G-MST differs from the MST over all head pairs:\n got %+v\nwant %+v", m.Res, want)
 	}
 }
 
@@ -610,7 +649,7 @@ func TestAdoptInfersDepartedSlots(t *testing.T) {
 	iso.AddEdge(0, 1)
 	iso.AddEdge(1, 2)
 	c := cluster.Run(iso, cluster.Options{K: 1})
-	m3 := NewMaintainerFrom(iso, 1, gateway.ACLMST, c, gateway.Run(iso, c, gateway.ACLMST))
+	m3 := NewMaintainerFrom(iso, 1, gateway.ACLMST, c, connect(t, iso, c, gateway.ACLMST))
 	for v := 0; v < 4; v++ {
 		if !m3.Alive(v) {
 			t.Errorf("fresh adoption marked node %d dead", v)
@@ -625,4 +664,14 @@ func depart(m *Maintainer, node int) (RepairReport, error) {
 		return RepairReport{}, err
 	}
 	return reps[0], nil
+}
+
+// connect runs core.Connect for algo on the clustering c of g.
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+	tb.Helper()
+	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Gateway
 }

@@ -85,15 +85,6 @@ func (s *Selection) NumPairs() int {
 	return total / 2
 }
 
-// Select runs the given rule.
-func Select(g *graph.Graph, c *cluster.Clustering, rule Rule) *Selection {
-	sel, err := SelectPar(context.Background(), g, nil, c, rule, nil, nil)
-	if err != nil {
-		panic(err.Error()) // Background context cannot be cancelled
-	}
-	return sel
-}
-
 // SelectPar runs the given rule, honoring cancellation between
 // neighborhood sweeps and reusing s's BFS buffers (nil is valid). The
 // per-head neighborhood walks (NC) or the edge scan (A-NCR) shard across
@@ -120,12 +111,9 @@ func SelectPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *clus
 	}
 }
 
-// NC selects, for every clusterhead, all other clusterheads within
-// 2k+1 hops in G. This is the baseline every prior scheme uses and is a
-// supergraph of the A-NCR selection.
-func NC(g *graph.Graph, c *cluster.Clustering) *Selection { return Select(g, c, RuleNC) }
-
-// ncCtx collects, for every head, the heads it reaches within 2k+1 hops:
+// ncCtx runs the NC rule, the baseline every prior scheme uses and a
+// supergraph of the A-NCR selection. It collects, for every head, the
+// heads it reaches within 2k+1 hops:
 // one MS-BFS sweep per 64-head block. Blocks are cut from the heads in
 // graph-locality order, not ID order — heads near each other share
 // almost all of a sweep's expansions, which is where the batching win

@@ -30,8 +30,7 @@ func benchNet(b *testing.B, n, k int) (*graph.Graph, *graph.FlatGraph, *cluster.
 // bounded batched sweep's win over per-head walks is capped by
 // per-vertex ball overlap divided by distinct gain-levels — highest at
 // k=1, shrinking toward parity as the radius (and with it the level
-// count) grows. The unbounded sweeps (G-MST head distances) don't pay
-// that level tax; see BenchmarkGMSTHeadDists for that regime.
+// count) grows. G-MST runs on this selection too.
 func BenchmarkNCSelect(b *testing.B) {
 	for _, k := range []int{1, 2} {
 		g, fg, c := benchNet(b, 50000, k)

@@ -1,6 +1,7 @@
 package ncr
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,14 +21,24 @@ func testNet(t testing.TB, n int, deg float64, seed int64) *graph.Graph {
 	return net.G
 }
 
+// selectRule is SelectPar run serially on a fresh snapshot.
+func selectRule(t testing.TB, g *graph.Graph, c *cluster.Clustering, rule Rule) *Selection {
+	t.Helper()
+	sel, err := SelectPar(context.Background(), g, nil, c, rule, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 func TestSelectDispatch(t *testing.T) {
 	g := testNet(t, 40, 6, 1)
 	c := cluster.Run(g, cluster.Options{K: 2})
-	if got := Select(g, c, RuleNC); got.Rule != RuleNC {
-		t.Fatal("Select(NC) wrong rule")
+	if got := selectRule(t, g, c, RuleNC); got.Rule != RuleNC {
+		t.Fatal("SelectPar(NC) wrong rule")
 	}
-	if got := Select(g, c, RuleANCR); got.Rule != RuleANCR {
-		t.Fatal("Select(ANCR) wrong rule")
+	if got := selectRule(t, g, c, RuleANCR); got.Rule != RuleANCR {
+		t.Fatal("SelectPar(ANCR) wrong rule")
 	}
 }
 
@@ -39,7 +50,7 @@ func TestSelectUnknownRulePanics(t *testing.T) {
 			t.Fatal("unknown rule did not panic")
 		}
 	}()
-	Select(g, c, Rule(99))
+	selectRule(t, g, c, Rule(99))
 }
 
 func TestRuleString(t *testing.T) {
@@ -57,7 +68,7 @@ func TestNCWithinRadius(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		g := testNet(t, 70, 6, int64(k))
 		c := cluster.Run(g, cluster.Options{K: k})
-		sel := NC(g, c)
+		sel := selectRule(t, g, c, RuleNC)
 		radius := 2*k + 1
 		headSet := make(map[int]bool)
 		for _, h := range c.Heads {
@@ -116,7 +127,7 @@ func TestANCRMatchesDefinition(t *testing.T) {
 func TestANCRSymmetric(t *testing.T) {
 	g := testNet(t, 80, 6, 3)
 	c := cluster.Run(g, cluster.Options{K: 3})
-	for _, sel := range []*Selection{ANCR(g, c), NC(g, c)} {
+	for _, sel := range []*Selection{ANCR(g, c), selectRule(t, g, c, RuleNC)} {
 		for u, nbs := range sel.Neighbors {
 			for _, v := range nbs {
 				found := false
@@ -141,7 +152,7 @@ func TestANCRSubsetOfNC(t *testing.T) {
 		g := testNet(t, 70, 6, int64(10+k))
 		c := cluster.Run(g, cluster.Options{K: k})
 		nc := make(map[[2]int]bool)
-		for _, p := range NC(g, c).Pairs() {
+		for _, p := range selectRule(t, g, c, RuleNC).Pairs() {
 			nc[p] = true
 		}
 		for _, p := range ANCR(g, c).Pairs() {
@@ -226,7 +237,7 @@ func TestSingleClusterNoNeighbors(t *testing.T) {
 	if len(c.Heads) != 1 {
 		t.Fatalf("Heads=%v", c.Heads)
 	}
-	for _, sel := range []*Selection{ANCR(g, c), NC(g, c)} {
+	for _, sel := range []*Selection{ANCR(g, c), selectRule(t, g, c, RuleNC)} {
 		if sel.NumPairs() != 0 {
 			t.Fatalf("%v has pairs in a single-cluster network", sel.Rule)
 		}
@@ -244,7 +255,7 @@ func TestANCRStrictlySmallerSometimes(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := testNet(t, 90, 6, 200+seed)
 		c := cluster.Run(g, cluster.Options{K: 3})
-		if ANCR(g, c).NumPairs() < NC(g, c).NumPairs() {
+		if ANCR(g, c).NumPairs() < selectRule(t, g, c, RuleNC).NumPairs() {
 			strictly++
 		}
 	}

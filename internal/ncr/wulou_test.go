@@ -38,7 +38,7 @@ func TestWuLouSandwich(t *testing.T) {
 		}
 		ac := toSet(ANCR(g, c))
 		wl := toSet(WuLou(g, c))
-		nc := toSet(NC(g, c))
+		nc := toSet(selectRule(t, g, c, RuleNC))
 		for p := range ac {
 			if !wl[p] {
 				t.Fatalf("seed %d: adjacent pair %v not covered by the 2.5-hop rule", seed, p)

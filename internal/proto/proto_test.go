@@ -1,12 +1,14 @@
 package proto
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/cds"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/ncr"
 	"repro/internal/udg"
@@ -49,12 +51,15 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 				if !reflect.DeepEqual(res.Clustering.Head, c.Head) {
 					t.Fatalf("k=%d seed=%d %v: membership differs", k, seed, algo)
 				}
-				wantSel := ncr.Select(net.G, c, opt.Rule)
-				if !reflect.DeepEqual(res.Selection.Neighbors, wantSel.Neighbors) {
-					t.Fatalf("k=%d seed=%d %v: selection differs\ndistributed %v\ncentralized %v",
-						k, seed, algo, res.Selection.Neighbors, wantSel.Neighbors)
+				central, err := core.Connect(context.Background(), net.G, nil, c, algo, nil, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := gateway.Run(net.G, c, algo)
+				if !reflect.DeepEqual(res.Selection.Neighbors, central.Selection.Neighbors) {
+					t.Fatalf("k=%d seed=%d %v: selection differs\ndistributed %v\ncentralized %v",
+						k, seed, algo, res.Selection.Neighbors, central.Selection.Neighbors)
+				}
+				want := central.Gateway
 				if !reflect.DeepEqual(res.Gateways, want.Gateways) {
 					t.Fatalf("k=%d seed=%d %v: gateways differ\ndistributed %v\ncentralized %v",
 						k, seed, algo, res.Gateways, want.Gateways)

@@ -24,7 +24,7 @@ func BenchmarkRouterRoute(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := cluster.Run(net.G, cluster.Options{K: 2})
-	r := New(net.G, c, gateway.Run(net.G, c, gateway.ACLMST))
+	r := New(net.G, c, connect(b, net.G, c, gateway.ACLMST))
 	pairs := make([][2]int, 1024)
 	for i := range pairs {
 		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}

@@ -1,12 +1,14 @@
 package routing
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
 	"repro/internal/udg"
@@ -20,7 +22,7 @@ func testRouter(t testing.TB, n int, deg float64, k int, seed int64) (*Router, *
 		t.Fatal(err)
 	}
 	c := cluster.Run(net.G, cluster.Options{K: k})
-	res := gateway.Run(net.G, c, gateway.ACLMST)
+	res := connect(t, net.G, c, gateway.ACLMST)
 	return New(net.G, c, res), net.G
 }
 
@@ -248,4 +250,14 @@ func TestRouteTwicePreservesGatewayPaths(t *testing.T) {
 		}
 		t.Fatal("gateway paths mutated by routing")
 	}
+}
+
+// connect runs core.Connect for algo on the clustering c of g.
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+	tb.Helper()
+	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Gateway
 }

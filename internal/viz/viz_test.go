@@ -2,13 +2,16 @@ package viz
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/graph"
 	"repro/internal/udg"
 )
 
@@ -20,7 +23,7 @@ func testScene(t testing.TB) (*udg.Network, *cluster.Clustering, *gateway.Result
 		t.Fatal(err)
 	}
 	c := cluster.Run(net.G, cluster.Options{K: 2})
-	res := gateway.Run(net.G, c, gateway.ACLMST)
+	res := connect(t, net.G, c, gateway.ACLMST)
 	return net, c, res
 }
 
@@ -115,4 +118,14 @@ func TestStyleDefaults(t *testing.T) {
 	if s.Scale <= 0 || s.Margin <= 0 || s.NodeR <= 0 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
+}
+
+// connect runs core.Connect for algo on the clustering c of g.
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+	tb.Helper()
+	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Gateway
 }
