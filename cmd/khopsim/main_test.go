@@ -90,6 +90,8 @@ func TestGoldenFigures(t *testing.T) {
 		{"ablation.json", "ablation", 5},
 		{"comparison.json", "comparison", 5},
 		{"energy.json", "energy", 5},
+		{"maintenance.json", "maintenance", 100},
+		{"stability.json", "stability", 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.workload, func(t *testing.T) {
