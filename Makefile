@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet fmt bench bench-check golden
+.PHONY: all build test lint vet fmt bench bench-check golden loc
 
 all: build test lint
 
@@ -49,3 +49,11 @@ golden:
 	for fig in 6 7; do $(CURDIR)/bin/khopsim -fig $$fig -json -seed 1 -runs 5 -parallel 8 | cmp testdata/golden/fig$$fig.json - || exit 1; done
 	for fig in ablation comparison energy stability; do $(CURDIR)/bin/khopsim -fig $$fig -json -seed 1 -runs 5 -parallel 8 | cmp testdata/golden/$$fig.json - || exit 1; done
 	$(GO) test -run TestGoldenSnapshot -count=1 ./internal/codec
+
+# loc prints the Go line counts ROADMAP.md tracks for simplicity work:
+# non-test and test lines of the tracked .go files (git add new files
+# first), khopbench/ and every testdata/ directory excluded.
+loc:
+	@files=$$(git ls-files '*.go' | grep -v -e '^khopbench/' -e '^testdata/' -e '/testdata/'); \
+	echo "non-test $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	echo "test     $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"

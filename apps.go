@@ -5,8 +5,10 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
+	"repro/internal/ncr"
 	"repro/internal/routing"
 )
 
@@ -33,11 +35,11 @@ type BroadcastPlan struct {
 // returns ErrNoGatewayPaths when res lacks the gateway paths the plan is
 // built from (see Result.GatewayPaths).
 func NewBroadcastPlan(g *Graph, res *Result) (*BroadcastPlan, error) {
-	c, gres, err := res.internals()
+	out, err := res.internals()
 	if err != nil {
 		return nil, err
 	}
-	return &BroadcastPlan{g: g.g, plan: broadcast.NewPlan(g.g, c, gres)}, nil
+	return &BroadcastPlan{g: g.g, plan: broadcast.NewPlan(g.g, out.Clustering, out.Gateway)}, nil
 }
 
 // ForwarderCount returns how many nodes retransmit under the plan.
@@ -65,11 +67,11 @@ type Router struct {
 // ErrNoGatewayPaths when res lacks the gateway paths the backbone is
 // built from (see Result.GatewayPaths).
 func NewRouter(g *Graph, res *Result) (*Router, error) {
-	c, gres, err := res.internals()
+	out, err := res.internals()
 	if err != nil {
 		return nil, err
 	}
-	return &Router{r: routing.New(g.g, c, gres)}, nil
+	return &Router{r: routing.New(g.g, out.Clustering, out.Gateway)}, nil
 }
 
 // Route returns the hierarchical route from src to dst, endpoints
@@ -84,19 +86,20 @@ func (r *Router) Stretch(src, dst int) (float64, error) { return r.r.Stretch(src
 // flat link-state routing vs this hierarchical scheme.
 func (r *Router) TableSizes() (flat, hierarchical int) { return r.r.TableSizes() }
 
-// internals reconstructs the internal clustering and gateway structures
-// a Result was assembled from. The paths and links are rebuilt from
-// GatewayPaths; a multi-cluster Result without them cannot be
-// reconstructed faithfully (the backbone would silently come out empty),
-// so that case is an explicit error instead of a broken structure. The
+// internals reconstructs the pipeline output (clustering, neighbor
+// selection and gateway result) a Result was assembled from. The paths
+// and links are rebuilt from GatewayPaths; a multi-cluster Result
+// without them cannot be reconstructed faithfully (the backbone would
+// silently come out empty), so that case is an explicit error instead
+// of a broken structure. The
 // one legitimately path-less multi-head shape — a NeighborHeads map
 // that selects no pair at all, i.e. every head alone in its own
 // component — reconstructs faithfully to an empty backbone and is
 // allowed through (snapshots of disconnected deployments restore this
 // way).
-func (r *Result) internals() (*cluster.Clustering, *gateway.Result, error) {
+func (r *Result) internals() (*core.Output, error) {
 	if len(r.Heads) > 1 && len(r.GatewayPaths) == 0 && !emptyBackbone(r) {
-		return nil, nil, ErrNoGatewayPaths
+		return nil, ErrNoGatewayPaths
 	}
 	c := &cluster.Clustering{
 		K:          r.K,
@@ -114,7 +117,8 @@ func (r *Result) internals() (*cluster.Clustering, *gateway.Result, error) {
 		gres.Links = append(gres.Links, graph.WEdge{U: link[0], V: link[1], Weight: len(path) - 1})
 	}
 	graph.SortWEdges(gres.Links)
-	return c, gres, nil
+	sel := &ncr.Selection{Rule: r.Algorithm.NeighborRule(), K: r.K, Neighbors: r.NeighborHeads}
+	return &core.Output{Clustering: c, Selection: sel, Gateway: gres}, nil
 }
 
 // emptyBackbone reports whether r's neighbor selection is present and

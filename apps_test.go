@@ -152,6 +152,28 @@ func TestRouterFacade(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsOutOfRange: a src or dst outside [0, N) is an error
+// from both Route and Stretch, never a panic, and never a one-node route
+// for src == dst.
+func TestRouterRejectsOutOfRange(t *testing.T) {
+	g, res := builtResult(t, 60, 2, 53)
+	router, err := NewRouter(g, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]int{{-1, 3}, {3, -1}, {3, 600}, {600, 3}, {60, 60}, {-5, -5}} {
+		if route, err := router.Route(p[0], p[1]); err == nil {
+			t.Errorf("Route(%d, %d) = %v, want an error", p[0], p[1], route)
+		}
+		if s, err := router.Stretch(p[0], p[1]); err == nil {
+			t.Errorf("Stretch(%d, %d) = %v, want an error", p[0], p[1], s)
+		}
+	}
+	if route, err := router.Route(59, 59); err != nil || len(route) != 1 {
+		t.Errorf("Route(59, 59) = %v, %v; want [59]", route, err)
+	}
+}
+
 func TestRouterAllPairsValid(t *testing.T) {
 	g, res := builtResult(t, 60, 3, 53)
 	router, err := NewRouter(g, res)

@@ -64,7 +64,7 @@ func benchInstance(b *testing.B, n int, deg float64, k int, rng *rand.Rand) *ben
 // connect runs core.Connect for algo on the clustering c of g.
 func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
 	tb.Helper()
-	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	out, err := core.Connect(context.Background(), g, graph.Flatten(g), c, algo, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -182,7 +182,11 @@ func BenchmarkMaintenance(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				inst := benchInstance(b, 100, 6, k, rng)
-				m := mobility.NewMaintainer(inst.Net.G, k, gateway.ACLMST)
+				out, err := core.Connect(context.Background(), inst.Net.G, graph.Flatten(inst.Net.G), inst.C, gateway.ACLMST, nil, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := mobility.NewMaintainerFrom(inst.Net.G, out)
 				members, heads, reclustered := 0, 0, 0
 				for _, node := range rng.Perm(100)[:50] {
 					reps, err := m.ApplyBatch(context.Background(), []mobility.Event{{Kind: mobility.EventLeave, Node: node}})

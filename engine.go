@@ -6,13 +6,11 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
 	"repro/internal/maxmin"
 	"repro/internal/mobility"
-	"repro/internal/ncr"
 	"repro/internal/partition"
 	"repro/internal/proto"
 )
@@ -192,23 +190,13 @@ type Engine struct {
 	// internal/cluster, internal/graph, and internal/gateway.
 	scratch sync.Pool
 
-	mu    sync.Mutex
-	built *builtState
+	mu sync.Mutex
+	// out is the last successful Build's structure (or the restored
+	// one): the base the first Apply adopts into maint. cur is the
+	// Result view of whichever of the two is current.
+	out   *core.Output
 	maint *mobility.Maintainer
 	cur   *Result
-	// curSel is the neighbor selection matching curGres; Apply reuses it
-	// while repairs leave the gateway structure untouched (member
-	// departures are free, per §3.3).
-	curSel  *ncr.Selection
-	curGres *gateway.Result
-}
-
-// builtState is what Apply needs to continue incrementally from the last
-// Build: the internal structures plus the config that produced them.
-type builtState struct {
-	c    *cluster.Clustering
-	gres *gateway.Result
-	cfg  engineConfig
 }
 
 // NewEngine validates the options and returns an Engine for g. The
@@ -280,16 +268,12 @@ func (e *Engine) Build(ctx context.Context, overrides ...Option) (*Result, error
 		return nil, err
 	}
 
-	res := assemble(out.Clustering, out.Selection, out.Gateway, cfg.k, cfg.algorithm)
+	res := assemble(out)
 	res.IndependentHeads = cfg.mode != MaxMin
 	res.Cost = cost
 
 	e.mu.Lock()
-	e.built = &builtState{c: out.Clustering, gres: out.Gateway, cfg: cfg}
-	e.maint = nil
-	e.cur = res
-	e.curSel = out.Selection
-	e.curGres = out.Gateway
+	e.out, e.maint, e.cur = out, nil, res
 	e.mu.Unlock()
 	return res, nil
 }
@@ -326,7 +310,7 @@ func (e *Engine) buildDistributed(ctx context.Context, cfg engineConfig, s *core
 		CDS:       pres.CDS,
 	}
 	if cfg.loss == 0 {
-		central, err := gateway.RunSelectedPar(ctx, e.g.g, nil, pres.Clustering, pres.Selection, cfg.algorithm, s.BFS(), pool)
+		central, err := gateway.RunSelectedPar(ctx, e.g.g, graph.Flatten(e.g.g), pres.Clustering, pres.Selection, cfg.algorithm, s.BFS(), pool)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -418,17 +402,15 @@ func RestoreEngine(g *Graph, res *Result, opts ...Option) (*Engine, error) {
 	if err := VerifyResult(g, res); err != nil {
 		return nil, fmt.Errorf("khop: restore: %w", err)
 	}
-	c, gres, err := res.internals()
+	out, err := res.internals()
 	if err != nil {
 		return nil, fmt.Errorf("khop: restore: %w", err)
 	}
-	e.built = &builtState{c: c, gres: gres, cfg: e.cfg}
-	e.cur = res
-	e.curSel = &ncr.Selection{K: res.K, Neighbors: res.NeighborHeads}
-	e.curGres = gres
-	// Adopt the maintainer eagerly (Build creates it lazily) so liveness
-	// queries and the first Apply see the restored departed slots.
-	e.maint = mobility.NewMaintainerFrom(e.g.g, e.cfg.k, e.cfg.algorithm, c, gres)
+	e.out, e.cur = out, res
+	// Adopt the maintainer eagerly (Apply adopts a build lazily) so
+	// liveness queries and the first Apply see the restored departed
+	// slots.
+	e.maint = mobility.NewMaintainerFrom(e.g.g, out)
 	return e, nil
 }
 
@@ -538,7 +520,7 @@ func (k eventKind) mobilityKind() EventKind {
 func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.built == nil {
+	if e.out == nil {
 		return nil, fmt.Errorf("khop: Apply needs a successful Build first")
 	}
 	// Validate shapes before any event mutates the maintained structure,
@@ -562,7 +544,7 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 		}
 	}
 	if e.maint == nil {
-		e.maint = mobility.NewMaintainerFrom(e.g.g, e.built.cfg.k, e.built.cfg.algorithm, e.built.c, e.built.gres)
+		e.maint = mobility.NewMaintainerFrom(e.g.g, e.out)
 	}
 	batch := make([]mobility.Event, len(events))
 	for i, ev := range events {
@@ -581,25 +563,9 @@ func (e *Engine) Apply(ctx context.Context, events ...Event) ([]RepairReport, er
 				edgesAdded = true
 			}
 		}
-		e.refreshFromMaintainer(edgesAdded)
+		res := assemble(e.maint.Output())
+		res.IndependentHeads = e.cur.IndependentHeads && !edgesAdded
+		e.cur = res
 	}
 	return reports, firstErr
-}
-
-// refreshFromMaintainer rebuilds the public Result view from the
-// maintainer's repaired internal structures. Callers hold e.mu;
-// edgesAdded reports whether the batch added radio links (Join/Move),
-// which forfeits the k-hop-independence guarantee.
-func (e *Engine) refreshFromMaintainer(edgesAdded bool) {
-	// The maintainer replaces Res (and Sel with it) exactly when a repair
-	// re-ran gateway selection; while Res is untouched (member events,
-	// which §3.3 keeps free) the previous neighbor selection still
-	// describes the structure.
-	if e.maint.Res != e.curGres {
-		e.curSel = e.maint.Sel
-		e.curGres = e.maint.Res
-	}
-	res := assemble(e.maint.C, e.curSel, e.maint.Res, e.built.cfg.k, e.built.cfg.algorithm)
-	res.IndependentHeads = (e.cur == nil || e.cur.IndependentHeads) && !edgesAdded
-	e.cur = res
 }

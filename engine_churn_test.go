@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,13 +46,15 @@ func checkStructureInvariants(t *testing.T, g *graph.Graph, res *Result, k int, 
 		}
 	}
 	sub := g.InducedSubgraph(res.CDS)
-	for _, comp := range g.Components() {
-		var headsHere []int
-		for _, v := range comp {
-			if aliveHeads[v] {
-				headsHere = append(headsHere, v)
-			}
-		}
+	uf := graph.NewUnionFind(g.N())
+	for _, e := range g.Edges() {
+		uf.Union(e[0], e[1])
+	}
+	headsOf := make(map[int][]int)
+	for _, h := range res.Heads {
+		headsOf[uf.Find(h)] = append(headsOf[uf.Find(h)], h)
+	}
+	for _, headsHere := range headsOf {
 		if len(headsHere) > 1 && !sub.ConnectedAmong(headsHere) {
 			t.Fatalf("heads %v share a component but are disconnected in the CDS", headsHere)
 		}
@@ -350,5 +354,61 @@ func TestEngineBuildEqualRanksError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "nodes 0 and 1 rank equal") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestRestoredEngineApplyMatchesBuilt: an engine restored from a build's
+// Result adopts the same structure the built engine does, so the same
+// churn trace yields the same repair reports and the same Result after
+// every batch — neighbor selection, gateway paths and head independence
+// included.
+func TestRestoredEngineApplyMatchesBuilt(t *testing.T) {
+	ctx := context.Background()
+	for _, algo := range []Algorithm{ACLMST, NCLMST, ACMesh, GMST} {
+		for seed := int64(1); seed <= 6; seed++ {
+			g := testNetwork(t, 80, 7, 600+seed).Graph()
+			built, err := NewEngine(g, WithK(2), WithAlgorithm(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := built.Build(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := RestoreEngine(g, res, WithK(2), WithAlgorithm(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A plain member k hops from its head lies on no other
+			// member's head path, so its departure normally re-runs no
+			// gateway selection (§3.3) and the Result after it still
+			// carries the adopted neighbor selection. It rejoins before
+			// the trace, which starts from an all-alive network.
+			member := -1
+			for v, h := range res.HeadOf {
+				if h != v && res.DistToHead[v] == 2 && !slices.Contains(res.Gateways, v) {
+					member = v
+					break
+				}
+			}
+			prelude := [][]Event{{Leave(member)}, {Join(member, g.Neighbors(member)...)}}
+			trace := churnTrace(g, 6, 5, rand.New(rand.NewSource(seed)))
+			for i, batch := range append(prelude, trace...) {
+				want, err := built.Apply(ctx, batch...)
+				if err != nil {
+					t.Fatalf("%v seed %d batch %d: built: %v", algo, seed, i, err)
+				}
+				got, err := restored.Apply(ctx, batch...)
+				if err != nil {
+					t.Fatalf("%v seed %d batch %d: restored: %v", algo, seed, i, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v seed %d batch %d: reports differ:\n got %+v\nwant %+v", algo, seed, i, got, want)
+				}
+				if !reflect.DeepEqual(restored.Result(), built.Result()) {
+					t.Fatalf("%v seed %d batch %d: restored Result differs from the built engine's", algo, seed, i)
+				}
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/maxmin"
 	"repro/internal/mobility"
 )
@@ -40,14 +41,14 @@ func pipelineResult(t *testing.T, g *Graph, mode Mode, algo Algorithm, k int) *R
 	var out *core.Output
 	var err error
 	if mode == MaxMin {
-		out, err = core.Connect(ctx, g.g, nil, maxmin.Run(g.g, k), algo, nil, nil)
+		out, err = core.Connect(ctx, g.g, graph.Flatten(g.g), maxmin.Run(g.g, k), algo, nil, nil)
 	} else {
 		out, err = core.BuildCtx(ctx, g.g, core.Options{K: k, Algorithm: algo})
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := assemble(out.Clustering, out.Selection, out.Gateway, k, algo)
+	res := assemble(out)
 	res.IndependentHeads = mode != MaxMin
 	return res
 }
@@ -187,7 +188,11 @@ func TestEngineApplyMatchesMobility(t *testing.T) {
 	if _, err := e.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	m := mobility.NewMaintainer(g.g, 2, ACLMST)
+	out, err := core.BuildCtx(context.Background(), g.g, core.Options{K: 2, Algorithm: ACLMST})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mobility.NewMaintainerFrom(g.g, out)
 
 	for _, node := range []int{5, 17, 42, 63, 0} {
 		reps, err := e.Apply(context.Background(), Leave(node))

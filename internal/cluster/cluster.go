@@ -97,9 +97,8 @@ type Options struct {
 	Pool *partition.Pool
 	// Flat is the CSR snapshot of g that the declaration relaxation and
 	// the per-head offer sweeps (multi-source batched BFS, 64 declared
-	// heads per frontier sweep) run on. Nil means RunCtx flattens g
-	// itself; callers that run several stages on one graph pass a shared
-	// snapshot instead.
+	// heads per frontier sweep) run on. RunCtx requires it: callers own
+	// the snapshot and share it with the stages that follow.
 	Flat *graph.FlatGraph
 }
 
@@ -157,8 +156,10 @@ type rankedNode struct {
 func NewScratch() *Scratch { return &Scratch{BFS: graph.NewScratch()} }
 
 // Run executes the iterative k-hop clustering algorithm on g. It is
-// RunCtx without cancellation or buffer reuse; k < 1 panics.
+// RunCtx on a fresh snapshot of g (opt.Flat is replaced), without
+// cancellation or buffer reuse; k < 1 panics.
 func Run(g *graph.Graph, opt Options) *Clustering {
+	opt.Flat = graph.Flatten(g)
 	c, err := RunCtx(context.Background(), g, opt, nil)
 	if err != nil {
 		panic(err.Error())
@@ -196,9 +197,6 @@ func RunCtx(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Clus
 	prio := opt.Priority
 	if prio == nil {
 		prio = LowestID{}
-	}
-	if opt.Flat == nil {
-		opt.Flat = graph.Flatten(g)
 	}
 	n := g.N()
 	if err := s.begin(prio, n); err != nil {

@@ -75,12 +75,12 @@ func checkInvariants(t *testing.T, g *graph.Graph, c *Clustering) {
 	}
 	// Independence: heads pairwise more than k apart.
 	for _, h := range c.Heads {
-		ball := g.BFSWithin(h, c.K)
-		for v, d := range ball {
+		g.EachWithin(nil, h, c.K, func(v, d int) bool {
 			if v != h && headSet[v] {
 				t.Fatalf("heads %d and %d only %d hops apart (k=%d)", h, v, d, c.K)
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -468,7 +468,7 @@ func TestRunCtxReadsPriorityOncePerNode(t *testing.T) {
 	g := randomConnected(60, 0.08, 3)
 	for _, pool := range []*partition.Pool{nil, partition.NewPool(3)} {
 		p := &countingPriority{}
-		c, err := RunCtx(context.Background(), g, Options{K: 2, Priority: p, Pool: pool}, nil)
+		c, err := RunCtx(context.Background(), g, Options{K: 2, Priority: p, Pool: pool, Flat: graph.Flatten(g)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

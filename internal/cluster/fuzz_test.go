@@ -56,6 +56,7 @@ func FuzzElection(f *testing.F) {
 		case 2:
 			opt.Priority = NewHighestEnergy(energy)
 		}
+		opt.Flat = graph.Flatten(g)
 		got, err := RunCtx(context.Background(), g, opt, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -113,14 +113,11 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opt Options) (*Output, error)
 // g: neighbor clusterhead selection by algo.NeighborRule(), then gateway
 // selection for algo over that selection. BuildCtx runs it after its
 // election; callers that cluster otherwise (Max-Min, a clustering shared
-// by several algorithms) call it directly. fg is the CSR snapshot of g
-// both stages sweep (nil makes Connect flatten g). Connect honors ctx,
+// by several algorithms) call it directly. fg is the caller's CSR
+// snapshot of g, which both stages sweep. Connect honors ctx,
 // reuses s's BFS buffers (nil is valid) and shards across pool's workers
 // (a nil pool runs one shard; the output is identical).
 func Connect(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, algo gateway.Algorithm, s *graph.Scratch, pool *partition.Pool) (*Output, error) {
-	if fg == nil {
-		fg = graph.Flatten(g)
-	}
 	sel, err := ncr.SelectPar(ctx, g, fg, c, algo.NeighborRule(), s, pool)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cds"
 	"repro/internal/cluster"
 	"repro/internal/gateway"
+	"repro/internal/graph"
 	"repro/internal/ncr"
 	"repro/internal/udg"
 )
@@ -57,7 +58,7 @@ func TestSelectionForRules(t *testing.T) {
 	}
 	c := cluster.Run(net.G, cluster.Options{K: 2})
 	sel := func(algo gateway.Algorithm) *ncr.Selection {
-		out, err := Connect(context.Background(), net.G, nil, c, algo, nil, nil)
+		out, err := Connect(context.Background(), net.G, graph.Flatten(net.G), c, algo, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,7 +149,7 @@ func TestEnergyConservation(t *testing.T) {
 // connect runs core.Connect for algo on the clustering c of g.
 func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
 	tb.Helper()
-	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	out, err := core.Connect(context.Background(), g, graph.Flatten(g), c, algo, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -141,7 +141,11 @@ func Churn(ctx context.Context, cfg RunConfig, n int, degree float64, k, events,
 			if err != nil {
 				return t, err
 			}
-			m := mobility.NewMaintainer(inst.Net.G, k, gateway.ACLMST)
+			built, err := inst.Connect(ctx, gateway.ACLMST)
+			if err != nil {
+				return t, err
+			}
+			m := mobility.NewMaintainerFrom(inst.Net.G, built)
 			st := &churnState{
 				pos:   append([]geom.Point(nil), inst.Net.Pos...),
 				alive: make([]bool, n),

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/gateway"
-	"repro/internal/graph"
 	"repro/internal/maxmin"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
@@ -42,7 +41,7 @@ func BroadcastSavings(ctx context.Context, cfg RunConfig, n int, degree float64,
 				if err != nil {
 					return [2]float64{}, err
 				}
-				out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+				out, err := inst.Connect(ctx, gateway.ACLMST)
 				if err != nil {
 					return [2]float64{}, err
 				}
@@ -103,7 +102,7 @@ func RoutingStretch(ctx context.Context, cfg RunConfig, n int, degree float64, k
 				if err != nil {
 					return t, err
 				}
-				out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+				out, err := inst.Connect(ctx, gateway.ACLMST)
 				if err != nil {
 					return t, err
 				}
@@ -300,13 +299,15 @@ func ClusteringComparison(ctx context.Context, cfg RunConfig, degree float64, k 
 				if err != nil {
 					return [4]float64{}, err
 				}
-				mmC := maxmin.Run(inst.Net.G, k)
-				fg := graph.Flatten(inst.Net.G)
-				low, err := core.Connect(ctx, inst.Net.G, fg, inst.C, gateway.ACLMST, nil, nil)
+				mmC, err := maxmin.RunPar(ctx, inst.Net.G, inst.Flat, k, nil, nil)
 				if err != nil {
 					return [4]float64{}, err
 				}
-				mm, err := core.Connect(ctx, inst.Net.G, fg, mmC, gateway.ACLMST, nil, nil)
+				low, err := inst.Connect(ctx, gateway.ACLMST)
+				if err != nil {
+					return [4]float64{}, err
+				}
+				mm, err := core.Connect(ctx, inst.Net.G, inst.Flat, mmC, gateway.ACLMST, nil, nil)
 				if err != nil {
 					return [4]float64{}, err
 				}

@@ -147,7 +147,11 @@ func Maintenance(ctx context.Context, cfg RunConfig, n int, degree float64, k, r
 			if err != nil {
 				return t, err
 			}
-			m := mobility.NewMaintainer(inst.Net.G, k, gateway.ACLMST)
+			built, err := inst.Connect(ctx, gateway.ACLMST)
+			if err != nil {
+				return t, err
+			}
+			m := mobility.NewMaintainerFrom(inst.Net.G, built)
 			order := rng.Perm(n)
 			for _, node := range order[:n/2] {
 				reps, err := m.ApplyBatch(ctx, []mobility.Event{{Kind: mobility.EventLeave, Node: node}})
@@ -246,7 +250,7 @@ func AblationAffiliation(ctx context.Context, cfg RunConfig, degree float64, k i
 					if err != nil {
 						return 0, err
 					}
-					out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+					out, err := inst.Connect(ctx, gateway.ACLMST)
 					if err != nil {
 						return 0, err
 					}

@@ -75,12 +75,14 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	return c
 }
 
-// Instance bundles one generated network with its clustering, so several
-// algorithms can be evaluated on identical inputs (paired comparison,
-// like the paper's simulator).
+// Instance bundles one generated network with its clustering and the
+// CSR snapshot the clustering was elected on, so several algorithms can
+// be evaluated on identical inputs (paired comparison, like the paper's
+// simulator) without flattening the network again.
 type Instance struct {
-	Net *udg.Network
-	C   *cluster.Clustering
+	Net  *udg.Network
+	Flat *graph.FlatGraph
+	C    *cluster.Clustering
 }
 
 // NewInstance generates one connected network and clusters it.
@@ -89,8 +91,18 @@ func NewInstance(n int, degree float64, k int, aff cluster.Affiliation, prio clu
 	if err != nil {
 		return nil, err
 	}
-	c := cluster.Run(net.G, cluster.Options{K: k, Affiliation: aff, Priority: prio})
-	return &Instance{Net: net, C: c}, nil
+	fg := graph.Flatten(net.G)
+	c, err := cluster.RunCtx(context.Background(), net.G, cluster.Options{K: k, Affiliation: aff, Priority: prio, Flat: fg}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{Net: net, Flat: fg, C: c}, nil
+}
+
+// Connect runs core.Connect for algo on the instance's clustering, over
+// the instance's snapshot.
+func (inst *Instance) Connect(ctx context.Context, algo gateway.Algorithm) (*core.Output, error) {
+	return core.Connect(ctx, inst.Net.G, inst.Flat, inst.C, algo, nil, nil)
 }
 
 // CDSSweep measures mean CDS size (clusterheads + gateways) per
@@ -120,12 +132,11 @@ func CDSSweep(ctx context.Context, cfg SweepConfig) (*Figure, error) {
 				if err != nil {
 					return nil, err
 				}
-				// Every algorithm connects the same clustering, over one
-				// CSR snapshot.
-				fg := graph.Flatten(inst.Net.G)
+				// Every algorithm connects the same clustering, over the
+				// snapshot it was elected on.
 				vals := make([]float64, len(cfg.Algorithms))
 				for i, algo := range cfg.Algorithms {
-					out, err := core.Connect(ctx, inst.Net.G, fg, inst.C, algo, nil, nil)
+					out, err := inst.Connect(ctx, algo)
 					if err != nil {
 						return nil, err
 					}
@@ -182,7 +193,7 @@ func HeadsAndCDSSweep(ctx context.Context, cfg SweepConfig) (heads, cdsSize Seri
 				if err != nil {
 					return [2]float64{}, err
 				}
-				out, err := core.Connect(ctx, inst.Net.G, nil, inst.C, gateway.ACLMST, nil, nil)
+				out, err := inst.Connect(ctx, gateway.ACLMST)
 				if err != nil {
 					return [2]float64{}, err
 				}

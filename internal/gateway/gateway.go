@@ -133,15 +133,11 @@ func (r *Result) CDSSize() int { return len(r.CDS) }
 // outputs merge in the serial order. A nil pool (or one worker) runs the
 // same loops as one shard.
 //
-// The BFS fan-outs run on fg, the CSR snapshot of g (nil makes
-// RunSelectedPar flatten g itself): per-pair shortest paths group by
-// source into one shared early-exiting walk per head. Paths break ties
-// toward the smallest-ID parent one hop closer to the source, as
-// Graph.ShortestPath does.
+// The BFS fan-outs run on fg, the caller's CSR snapshot of g (g itself
+// is not read): per-pair shortest paths group by source into one shared
+// early-exiting walk per head. Paths break ties toward the smallest-ID
+// parent one hop closer to the source, as Graph.ShortestPath does.
 func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, pool *partition.Pool) (*Result, error) {
-	if fg == nil {
-		fg = graph.Flatten(g)
-	}
 	return runSelected(ctx, fg, c, sel, algo, s, nil, pool)
 }
 
@@ -161,12 +157,9 @@ func RunSelectedPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c 
 // That keeps repairs local at the cost of (bounded) path staleness,
 // exactly the trade the paper makes for maintenance. GMST ignores prev
 // and recomputes every path, so its weights stay true hop distances and
-// its tree the global MST. fg is the CSR snapshot of g, as for
-// RunSelectedPar; nil makes RunSelectedFrom flatten g itself.
+// its tree the global MST. fg is the caller's CSR snapshot of g, as for
+// RunSelectedPar.
 func RunSelectedFrom(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, sel *ncr.Selection, algo Algorithm, s *graph.Scratch, prev *Result, dirty map[int]bool) (*Result, error) {
-	if fg == nil {
-		fg = graph.Flatten(g)
-	}
 	var cache map[[2]int][]int
 	if prev != nil && algo != GMST {
 		cache = reusablePaths(g, prev, dirty)

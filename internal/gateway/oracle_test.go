@@ -51,12 +51,11 @@ func scalarPaths(g *graph.Graph, pairs [][2]int, cache map[[2]int][]int) [][]int
 // scalarHeadDistRows is every connected head pair's hop distance: one
 // whole-graph BFS per head, keeping the reachable later heads.
 func scalarHeadDistRows(g *graph.Graph, heads []int) []graph.WEdge {
-	s := graph.NewScratch()
 	var rows []graph.WEdge
 	for i, u := range heads {
-		dist := g.BFSScratch(s, u)
+		dist := g.BFS(u)
 		for _, v := range heads[i+1:] {
-			if d := dist.Dist(v); d != graph.Unreachable {
+			if d := dist[v]; d != graph.Unreachable {
 				rows = append(rows, graph.WEdge{U: u, V: v, Weight: d})
 			}
 		}

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Unreachable is the hop distance reported for vertices that cannot be
 // reached from the BFS source.
 const Unreachable = -1
@@ -25,32 +23,6 @@ func (g *Graph) BFS(src int) []int {
 				queue = append(queue, v)
 			}
 		}
-	}
-	return dist
-}
-
-// BFSWithin computes hop distances from src limited to maxHops. The
-// returned map contains every vertex at distance ≤ maxHops (src included
-// at distance 0). This is the "local view" primitive: a node broadcasting
-// within h hops learns exactly the vertices in BFSWithin(src, h).
-func (g *Graph) BFSWithin(src, maxHops int) map[int]int {
-	g.checkVertex(src)
-	dist := map[int]int{src: 0}
-	if maxHops <= 0 {
-		return dist
-	}
-	frontier := []int{src}
-	for d := 1; d <= maxHops && len(frontier) > 0; d++ {
-		var next []int
-		for _, u := range frontier {
-			for _, v := range g.adj[u] {
-				if _, seen := dist[v]; !seen {
-					dist[v] = d
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
 	}
 	return dist
 }
@@ -126,41 +98,8 @@ func (g *Graph) ConnectedAmong(set []int) bool {
 	return true
 }
 
-// Components returns the connected components of g, each sorted, ordered
-// by their smallest vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, len(g.adj))
-	var comps [][]int
-	for s := range g.adj {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sortInts(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 func reverse(s []int) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-func sortInts(s []int) {
-	sort.Ints(s)
 }

@@ -272,13 +272,27 @@ func TestBFSMatchesFloydWarshall(t *testing.T) {
 	}
 }
 
+// within collects the ball EachWithin walks: every vertex within
+// maxHops of src, with its hop distance.
+func within(g *Graph, src, maxHops int) map[int]int {
+	ball := make(map[int]int)
+	g.EachWithin(nil, src, maxHops, func(v, d int) bool {
+		ball[v] = d
+		return true
+	})
+	return ball
+}
+
+// TestBFSWithinMatchesBFS: the bounded BFS walk (EachWithin) visits
+// exactly the vertices the whole-graph BFS puts within maxHops, at the
+// same distances.
 func TestBFSWithinMatchesBFS(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomGraph(30, 0.1, seed)
 		for _, maxHops := range []int{0, 1, 2, 3, 100} {
 			for src := 0; src < g.N(); src += 7 {
 				full := g.BFS(src)
-				got := g.BFSWithin(src, maxHops)
+				got := within(g, src, maxHops)
 				for v, d := range full {
 					_, in := got[v]
 					if d != Unreachable && d <= maxHops {
@@ -405,27 +419,17 @@ func TestConnectedAmong(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	g := New(7)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	want := [][]int{{0, 1, 2}, {3, 4}, {5}, {6}}
-	if got := g.Components(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Components=%v, want %v", got, want)
-	}
-}
-
-// TestBFSWithinQuick is a testing/quick property: for random paths of
-// random lengths, the ball of radius k around a vertex has exactly
-// min(n-1, i+k) - max(0, i-k) + 1 vertices.
+// TestBFSWithinQuick is a testing/quick property of the bounded BFS
+// walk (EachWithin): for random paths of random lengths, the ball of
+// radius k around a vertex has exactly min(n-1, i+k) - max(0, i-k) + 1
+// vertices.
 func TestBFSWithinQuick(t *testing.T) {
 	f := func(rawN, rawI, rawK uint8) bool {
 		n := int(rawN%40) + 2
 		i := int(rawI) % n
 		k := int(rawK % 10)
 		g := pathGraph(n)
-		ball := g.BFSWithin(i, k)
+		ball := within(g, i, k)
 		lo := i - k
 		if lo < 0 {
 			lo = 0

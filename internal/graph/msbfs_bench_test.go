@@ -48,7 +48,7 @@ func BenchmarkScalarBFSFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, src := range sources {
-			g.BFSScratch(s, src)
+			g.EachWithin(s, src, g.N(), func(int, int) bool { return true })
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestFlattenMatchesAdjacency(t *testing.T) {
 
 // checkMSBFSAgainstScalar cross-checks one batched sweep against the
 // scalar BFS oracle: every (source, vertex, distance) triple reported by
-// MSBFS must match BFS/BFSWithin exactly, with no pair missing, none
+// MSBFS must match BFS/EachWithin exactly, with no pair missing, none
 // duplicated, and none beyond maxHops.
 func checkMSBFSAgainstScalar(t *testing.T, g *Graph, f *FlatGraph, sources []int, maxHops int) {
 	t.Helper()
@@ -85,7 +85,7 @@ func checkMSBFSAgainstScalar(t *testing.T, g *Graph, f *FlatGraph, sources []int
 				}
 			}
 		} else {
-			want = g.BFSWithin(src, maxHops)
+			want = within(g, src, maxHops)
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("source %d (maxHops=%d): MSBFS reach diverges from scalar oracle:\n got %v\nwant %v", src, maxHops, got[i], want)
@@ -124,7 +124,7 @@ func TestMSBFSAbortAndReuse(t *testing.T) {
 		sources := rng.Perm(200)[:1+rng.Intn(64)]
 		want := make(map[[2]int]int)
 		for i, src := range sources {
-			for v, d := range g.BFSWithin(src, 3) {
+			for v, d := range within(g, src, 3) {
 				want[[2]int{i, v}] = d
 			}
 		}

@@ -67,16 +67,6 @@ func (s *Scratch) visit(v, d int) {
 
 func (s *Scratch) seen(v int) bool { return s.mark[v] == s.epoch }
 
-// Dist returns the hop distance of v recorded by the last BFSScratch
-// walk, or Unreachable if the walk did not reach v. Valid until the
-// Scratch is used again.
-func (s *Scratch) Dist(v int) int {
-	if !s.seen(v) {
-		return Unreachable
-	}
-	return s.dist[v]
-}
-
 // orTemp returns s, or a fresh throwaway Scratch when s is nil, so every
 // scratch-aware traversal also works without a pooled buffer.
 func orTemp(s *Scratch) *Scratch {
@@ -89,8 +79,7 @@ func orTemp(s *Scratch) *Scratch {
 // EachWithin visits every vertex within maxHops of src — src first at
 // distance 0, then the rest in BFS order — calling fn(v, d) for each.
 // Returning false from fn stops the walk early. With a warm Scratch the
-// walk allocates nothing; the scratch-free BFSWithin is the map-returning
-// equivalent.
+// walk allocates nothing.
 func (g *Graph) EachWithin(s *Scratch, src, maxHops int, fn func(v, d int) bool) {
 	g.checkVertex(src)
 	s = orTemp(s)
@@ -114,26 +103,6 @@ func (g *Graph) EachWithin(s *Scratch, src, maxHops int, fn func(v, d int) bool)
 			}
 		}
 	}
-}
-
-// BFSScratch computes hop distances from src into s's buffers; read them
-// back with s.Dist. The view is valid until s is used again. This is the
-// allocation-free counterpart of BFS for distances that are consumed
-// before the next traversal.
-func (g *Graph) BFSScratch(s *Scratch, src int) *Scratch {
-	g.checkVertex(src)
-	s = orTemp(s)
-	s.begin(len(g.adj))
-	s.visit(src, 0)
-	for i := 0; i < len(s.queue); i++ {
-		u := s.queue[i]
-		for _, v := range g.adj[u] {
-			if !s.seen(v) {
-				s.visit(v, s.dist[u]+1)
-			}
-		}
-	}
-	return s
 }
 
 // HopDistScratch is HopDist with reusable buffers and an early exit:

@@ -31,15 +31,16 @@ import (
 	"repro/internal/partition"
 )
 
-// Run executes Max-Min d-cluster formation on g. The graph should be
-// connected; on disconnected graphs each component clusters itself.
+// Run executes Max-Min d-cluster formation on g, flattening it for
+// RunPar. The graph should be connected; on disconnected graphs each
+// component clusters itself.
 //
 // The returned Clustering has K = d; every node is within d hops of its
 // clusterhead (Amis et al., Theorem "d-hop dominating set"), but heads
 // are not k-hop independent — callers comparing against the lowest-ID
 // clustering must not assert independence.
 func Run(g *graph.Graph, d int) *cluster.Clustering {
-	c, err := RunPar(context.Background(), g, nil, d, nil, nil)
+	c, err := RunPar(context.Background(), g, graph.Flatten(g), d, nil, nil)
 	if err != nil {
 		panic(err.Error()) // Background context cannot be cancelled
 	}
@@ -53,15 +54,12 @@ func Run(g *graph.Graph, d int) *cluster.Clustering {
 // round's winners and writes each node's slot exclusively — the
 // synchronous-round structure *is* the partition — so the clustering is
 // identical for any worker count; a nil pool (or one worker) runs the
-// same loops as one shard. The floods read fg, the CSR snapshot of g
-// (nil makes RunPar flatten g itself), and the distance pass runs as
-// multi-source batched BFS on it: 64 heads per frontier sweep, depth d.
+// same loops as one shard. The floods read fg, the caller's CSR snapshot
+// of g, and the distance pass runs as multi-source batched BFS on it: 64
+// heads per frontier sweep, depth d.
 func RunPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, d int, s *graph.Scratch, pool *partition.Pool) (*cluster.Clustering, error) {
 	if d < 1 {
 		panic(fmt.Sprintf("maxmin: d must be ≥ 1, got %d", d))
-	}
-	if fg == nil {
-		fg = graph.Flatten(g)
 	}
 	n := g.N()
 	winner := make([]int, n)

@@ -56,12 +56,11 @@ func scalarMaxMin(g *graph.Graph, d int) *cluster.Clustering {
 	}
 	sort.Ints(heads)
 	distToHead := make([]int, n)
-	s := graph.NewScratch()
 	for _, h := range heads {
-		dist := g.BFSScratch(s, h)
+		dist := g.BFS(h)
 		for v := range head {
 			if head[v] == h {
-				distToHead[v] = dist.Dist(v)
+				distToHead[v] = dist[v]
 			}
 		}
 	}
@@ -92,7 +91,7 @@ func TestRunParMatchesScalarOracle(t *testing.T) {
 		for d := 1; d <= 3; d++ {
 			want := scalarMaxMin(g, d)
 			for _, p := range []*partition.Pool{nil, pool} {
-				got, err := RunPar(ctx, g, nil, d, nil, p)
+				got, err := RunPar(ctx, g, graph.Flatten(g), d, nil, p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -148,8 +148,8 @@ type Maintainer struct {
 	Algo gateway.Algorithm
 	C    *cluster.Clustering
 	Res  *gateway.Result
-	// Sel is the neighbor selection matching Res; nil until the first
-	// gateway refresh when the Maintainer adopted a prebuilt structure.
+	// Sel is the neighbor selection matching Res: the adopted one until
+	// a repair re-runs gateway selection, which replaces both.
 	Sel   *ncr.Selection
 	alive []bool
 	// scratch holds the BFS buffers the repair and refresh passes reuse
@@ -157,36 +157,24 @@ type Maintainer struct {
 	scratch *graph.Scratch
 }
 
-// NewMaintainer builds the initial structure on a copy of g.
-func NewMaintainer(g *graph.Graph, k int, algo gateway.Algorithm) *Maintainer {
+// NewMaintainerFrom adopts a built structure for maintenance instead of
+// rebuilding it, as §3.3 repairs the structure a build produced. out
+// must describe g (any priority, affiliation or election rule is fine —
+// repairs only ever re-elect locally with lowest-ID, per §3.3); K comes
+// from out.Clustering, the algorithm from out.Gateway and the neighbor
+// selection from out.Selection. g is cloned; out's structures are
+// referenced but never mutated in place (repairs replace them).
+//
+// Liveness is inferred from the adopted structure, so a clustering that
+// already carries departed slots — self-headed, unlisted, edge-less, the
+// convention every Leave repair writes and a restored snapshot carries —
+// resumes with those nodes dead: Alive reports false and only a Join
+// brings them back. A freshly built structure has no such slot (isolated
+// vertices head singleton clusters and are listed), so everything starts
+// alive there.
+func NewMaintainerFrom(g *graph.Graph, out *core.Output) *Maintainer {
 	gc := g.Clone()
-	out, err := core.BuildCtx(context.Background(), gc, core.Options{K: k, Algorithm: algo})
-	if err != nil {
-		panic(err.Error()) // only k < 1 fails: Background is never cancelled
-	}
-	m := adopt(gc, k, algo, out.Clustering, out.Gateway)
-	m.Sel = out.Selection
-	return m
-}
-
-// NewMaintainerFrom adopts an already-built structure instead of
-// rebuilding it: c and res must describe g (any priority or affiliation
-// rule is fine — repairs only ever re-elect locally with lowest-ID, per
-// §3.3). The engine's incremental Apply uses this so maintenance starts
-// from the structure the caller actually built. g is cloned; c and res
-// are referenced but never mutated in place (repairs replace them).
-func NewMaintainerFrom(g *graph.Graph, k int, algo gateway.Algorithm, c *cluster.Clustering, res *gateway.Result) *Maintainer {
-	return adopt(g.Clone(), k, algo, c, res)
-}
-
-func adopt(gc *graph.Graph, k int, algo gateway.Algorithm, c *cluster.Clustering, res *gateway.Result) *Maintainer {
-	// Liveness is inferred from the adopted structure, so a clustering
-	// that already carries departed slots — self-headed, unlisted,
-	// edge-less, the convention every Leave repair writes and a restored
-	// snapshot carries — resumes with those nodes dead: Alive reports
-	// false and only a Join brings them back. A freshly built structure
-	// has no such slot (isolated vertices head singleton clusters and are
-	// listed), so everything starts alive there, as before.
+	c := out.Clustering
 	listed := make([]bool, gc.N())
 	for _, h := range c.Heads {
 		listed[h] = true
@@ -197,13 +185,20 @@ func adopt(gc *graph.Graph, k int, algo gateway.Algorithm, c *cluster.Clustering
 	}
 	return &Maintainer{
 		G:       gc,
-		K:       k,
-		Algo:    algo,
+		K:       c.K,
+		Algo:    out.Gateway.Algorithm,
 		C:       c,
-		Res:     res,
+		Res:     out.Gateway,
+		Sel:     out.Selection,
 		alive:   alive,
 		scratch: graph.NewScratch(),
 	}
+}
+
+// Output returns the maintained structure: the current clustering, the
+// neighbor selection and the gateway result that match it.
+func (m *Maintainer) Output() *core.Output {
+	return &core.Output{Clustering: m.C, Selection: m.Sel, Gateway: m.Res}
 }
 
 // Alive reports whether node is still part of the network.

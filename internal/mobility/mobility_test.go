@@ -111,7 +111,7 @@ func TestWaypointDeterministic(t *testing.T) {
 func TestClassify(t *testing.T) {
 	g := testGraph(t, 80, 6, 5)
 	c := cluster.Run(g, cluster.Options{K: 2})
-	res := connect(t, g, c, gateway.ACLMST)
+	res := connect(t, g, c, gateway.ACLMST).Gateway
 	counts := map[Role]int{}
 	for v := 0; v < g.N(); v++ {
 		counts[Classify(c, res, v)]++
@@ -176,19 +176,16 @@ func checkMaintained(t *testing.T, m *Maintainer) {
 		}
 	}
 	// Head connectivity within each alive component.
-	comps := m.G.Components()
-	inCDS := make(map[int]bool)
-	for _, v := range m.Res.CDS {
-		inCDS[v] = true
+	uf := graph.NewUnionFind(m.G.N())
+	for _, e := range m.G.Edges() {
+		uf.Union(e[0], e[1])
+	}
+	headsOf := make(map[int][]int)
+	for _, h := range m.C.Heads {
+		headsOf[uf.Find(h)] = append(headsOf[uf.Find(h)], h)
 	}
 	sub := m.G.InducedSubgraph(m.Res.CDS)
-	for _, comp := range comps {
-		var headsHere []int
-		for _, v := range comp {
-			if aliveHeads[v] {
-				headsHere = append(headsHere, v)
-			}
-		}
+	for _, headsHere := range headsOf {
 		if len(headsHere) > 1 && !sub.ConnectedAmong(headsHere) {
 			t.Fatalf("heads %v in one alive component but disconnected in CDS", headsHere)
 		}
@@ -197,7 +194,7 @@ func checkMaintained(t *testing.T, m *Maintainer) {
 
 func TestDepartMember(t *testing.T) {
 	g := testGraph(t, 80, 7, 11)
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	// Find a plain member.
 	member := -1
 	for v := 0; v < g.N(); v++ {
@@ -226,7 +223,7 @@ func TestDepartMember(t *testing.T) {
 
 func TestDepartGateway(t *testing.T) {
 	g := testGraph(t, 80, 7, 13)
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	if len(m.Res.Gateways) == 0 {
 		t.Skip("no gateways on this instance")
 	}
@@ -249,7 +246,7 @@ func TestDepartGateway(t *testing.T) {
 
 func TestDepartHead(t *testing.T) {
 	g := testGraph(t, 80, 7, 17)
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	head := m.C.Heads[len(m.C.Heads)/2]
 	members := len(m.C.Members(head)) - 1
 	rep, err := depart(m, head)
@@ -272,7 +269,7 @@ func TestDepartHead(t *testing.T) {
 
 func TestDepartErrors(t *testing.T) {
 	g := testGraph(t, 40, 6, 19)
-	m := NewMaintainer(g, 1, gateway.ACLMST)
+	m := newMaintainer(t, g, 1, gateway.ACLMST)
 	if _, err := depart(m, -1); err == nil {
 		t.Error("negative node accepted")
 	}
@@ -294,7 +291,7 @@ func TestDepartManyInvariants(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		for _, algo := range []gateway.Algorithm{gateway.ACLMST, gateway.NCMesh} {
 			g := testGraph(t, 60, 7, int64(23+k))
-			m := NewMaintainer(g, k, algo)
+			m := newMaintainer(t, g, k, algo)
 			rng := rand.New(rand.NewSource(int64(k) * 31))
 			order := rng.Perm(g.N())
 			for _, node := range order[:g.N()/2] {
@@ -312,7 +309,7 @@ func TestDepartManyInvariants(t *testing.T) {
 // alive component.
 func TestMaintainerDominationOnAliveGraph(t *testing.T) {
 	g := testGraph(t, 70, 8, 29)
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	rng := rand.New(rand.NewSource(3))
 	for _, node := range rng.Perm(g.N())[:20] {
 		if _, err := depart(m, node); err != nil {
@@ -325,9 +322,10 @@ func TestMaintainerDominationOnAliveGraph(t *testing.T) {
 	// vertices that no head can reach.)
 	covered := make(map[int]bool)
 	for _, h := range m.C.Heads {
-		for v := range m.G.BFSWithin(h, 2) {
+		m.G.EachWithin(nil, h, 2, func(v, _ int) bool {
 			covered[v] = true
-		}
+			return true
+		})
 	}
 	for v := 0; v < g.N(); v++ {
 		if m.Alive(v) && !covered[v] {
@@ -340,7 +338,7 @@ func TestMaintainerDominationOnAliveGraph(t *testing.T) {
 func TestNewMaintainerDoesNotMutateInput(t *testing.T) {
 	g := testGraph(t, 50, 6, 31)
 	edgesBefore := g.M()
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	if _, err := depart(m, m.C.Heads[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +349,7 @@ func TestNewMaintainerDoesNotMutateInput(t *testing.T) {
 
 func TestJoinBackAsMember(t *testing.T) {
 	g := testGraph(t, 80, 7, 37)
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	// Depart a plain member, then join it back with its original links.
 	var member = -1
 	for v := 0; v < g.N(); v++ {
@@ -402,7 +400,7 @@ func TestJoinBackAsMember(t *testing.T) {
 
 func TestJoinInRadioSilenceBecomesHead(t *testing.T) {
 	g := testGraph(t, 40, 6, 41)
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	if _, err := depart(m, 11); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +421,7 @@ func TestJoinInRadioSilenceBecomesHead(t *testing.T) {
 func TestMovePreservesInvariants(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		g := testGraph(t, 60, 7, int64(43+k))
-		m := NewMaintainer(g, k, gateway.ACLMST)
+		m := newMaintainer(t, g, k, gateway.ACLMST)
 		rng := rand.New(rand.NewSource(int64(k) * 47))
 		for step := 0; step < 15; step++ {
 			v := rng.Intn(g.N())
@@ -452,7 +450,7 @@ func TestMovePreservesInvariants(t *testing.T) {
 
 func TestApplyBatchCoalescesGatewayRuns(t *testing.T) {
 	g := testGraph(t, 80, 7, 53)
-	m := NewMaintainer(g, 2, gateway.ACLMST)
+	m := newMaintainer(t, g, 2, gateway.ACLMST)
 	// Two head departures in one batch: both dirty the gateway
 	// structure, but the batch pays for one selection re-run.
 	if len(m.C.Heads) < 3 {
@@ -479,7 +477,7 @@ func TestApplyBatchCoalescesGatewayRuns(t *testing.T) {
 
 func TestApplyBatchEventErrors(t *testing.T) {
 	g := testGraph(t, 40, 6, 59)
-	m := NewMaintainer(g, 1, gateway.ACLMST)
+	m := newMaintainer(t, g, 1, gateway.ACLMST)
 	ctx := context.Background()
 	bad := [][]Event{
 		{{Kind: EventJoin, Node: 0}},                              // join of an alive node
@@ -510,7 +508,7 @@ func TestApplyBatchEventErrors(t *testing.T) {
 
 func TestApplyBatchStopsOnCancelledContext(t *testing.T) {
 	g := testGraph(t, 40, 6, 61)
-	m := NewMaintainer(g, 1, gateway.ACLMST)
+	m := newMaintainer(t, g, 1, gateway.ACLMST)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reps, err := m.ApplyBatch(ctx, []Event{{Kind: EventLeave, Node: 3}})
@@ -539,7 +537,7 @@ func TestChurnManyInvariants(t *testing.T) {
 // on the NC selection only.
 func churnMany(t *testing.T, algo gateway.Algorithm, k int) {
 	g := testGraph(t, 60, 7, int64(67+k))
-	m := NewMaintainer(g, k, algo)
+	m := newMaintainer(t, g, k, algo)
 	rng := rand.New(rand.NewSource(int64(k) * 71))
 	alive := make([]bool, g.N())
 	for i := range alive {
@@ -598,7 +596,7 @@ func checkGlobalMST(t *testing.T, m *Maintainer) {
 			}
 		}
 	}
-	want, err := gateway.RunSelectedPar(context.Background(), m.G, nil, m.C, all, gateway.GMST, nil, nil)
+	want, err := gateway.RunSelectedPar(context.Background(), m.G, graph.Flatten(m.G), m.C, all, gateway.GMST, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +613,7 @@ func checkGlobalMST(t *testing.T, m *Maintainer) {
 // everyone alive, including isolated singleton heads, which are listed.
 func TestAdoptInfersDepartedSlots(t *testing.T) {
 	g := testGraph(t, 60, 6, 9)
-	m1 := NewMaintainer(g, 2, gateway.ACLMST)
+	m1 := newMaintainer(t, g, 2, gateway.ACLMST)
 	if _, err := m1.ApplyBatch(context.Background(), []Event{
 		{Kind: EventLeave, Node: 5},
 		{Kind: EventLeave, Node: 17},
@@ -624,7 +622,7 @@ func TestAdoptInfersDepartedSlots(t *testing.T) {
 	}
 
 	// Re-adopt the churned structure, as a snapshot restore does.
-	m2 := NewMaintainerFrom(m1.G, m1.K, m1.Algo, m1.C, m1.Res)
+	m2 := NewMaintainerFrom(m1.G, m1.Output())
 	for _, v := range []int{5, 17} {
 		if m2.Alive(v) {
 			t.Errorf("departed slot %d adopted as alive", v)
@@ -649,7 +647,7 @@ func TestAdoptInfersDepartedSlots(t *testing.T) {
 	iso.AddEdge(0, 1)
 	iso.AddEdge(1, 2)
 	c := cluster.Run(iso, cluster.Options{K: 1})
-	m3 := NewMaintainerFrom(iso, 1, gateway.ACLMST, c, connect(t, iso, c, gateway.ACLMST))
+	m3 := NewMaintainerFrom(iso, connect(t, iso, c, gateway.ACLMST))
 	for v := 0; v < 4; v++ {
 		if !m3.Alive(v) {
 			t.Errorf("fresh adoption marked node %d dead", v)
@@ -667,11 +665,21 @@ func depart(m *Maintainer, node int) (RepairReport, error) {
 }
 
 // connect runs core.Connect for algo on the clustering c of g.
-func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *gateway.Result {
+func connect(tb testing.TB, g *graph.Graph, c *cluster.Clustering, algo gateway.Algorithm) *core.Output {
 	tb.Helper()
-	out, err := core.Connect(context.Background(), g, nil, c, algo, nil, nil)
+	out, err := core.Connect(context.Background(), g, graph.Flatten(g), c, algo, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return out.Gateway
+	return out
+}
+
+// newMaintainer builds algo's structure at radius k on g and adopts it.
+func newMaintainer(tb testing.TB, g *graph.Graph, k int, algo gateway.Algorithm) *Maintainer {
+	tb.Helper()
+	out, err := core.BuildCtx(context.Background(), g, core.Options{K: k, Algorithm: algo})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return NewMaintainerFrom(g, out)
 }

@@ -28,9 +28,6 @@ const (
 	RuleNC Rule = iota
 	// RuleANCR selects only adjacent clusterheads ("AC" curves).
 	RuleANCR
-	// RuleWuLou is Wu and Lou's 2.5-hop coverage rule [17], the k = 1
-	// special case that A-NCR generalizes (see WuLou).
-	RuleWuLou
 )
 
 // String implements fmt.Stringer.
@@ -40,8 +37,6 @@ func (r Rule) String() string {
 		return "NC"
 	case RuleANCR:
 		return "AC"
-	case RuleWuLou:
-		return "WuLou2.5"
 	default:
 		return fmt.Sprintf("rule(%d)", int(r))
 	}
@@ -90,22 +85,14 @@ func (s *Selection) NumPairs() int {
 // per-head neighborhood walks (NC) or the edge scan (A-NCR) shard across
 // pool's workers; a nil pool (or one worker) runs the same loops as one
 // shard, so the selection is identical for any worker count. NC runs as
-// multi-source batched BFS on fg, the CSR snapshot of g — one frontier
-// sweep per 64-head block; a nil fg makes SelectPar flatten g itself.
+// multi-source batched BFS on fg, the caller's CSR snapshot of g — one
+// frontier sweep per 64-head block.
 func SelectPar(ctx context.Context, g *graph.Graph, fg *graph.FlatGraph, c *cluster.Clustering, rule Rule, s *graph.Scratch, pool *partition.Pool) (*Selection, error) {
 	switch rule {
 	case RuleNC:
-		if fg == nil {
-			fg = graph.Flatten(g)
-		}
 		return ncCtx(ctx, fg, c, s, pool)
 	case RuleANCR:
 		return ancrCtx(ctx, g, c, s, pool)
-	case RuleWuLou:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return WuLou(g, c), nil
 	default:
 		panic(fmt.Sprintf("ncr: unknown rule %d", int(rule)))
 	}
@@ -231,12 +218,4 @@ func ancrCtx(ctx context.Context, g *graph.Graph, c *cluster.Clustering, s *grap
 		sort.Ints(sel.Neighbors[h])
 	}
 	return sel, nil
-}
-
-func headSet(c *cluster.Clustering) map[int]bool {
-	m := make(map[int]bool, len(c.Heads))
-	for _, h := range c.Heads {
-		m[h] = true
-	}
-	return m
 }

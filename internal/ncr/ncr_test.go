@@ -24,7 +24,7 @@ func testNet(t testing.TB, n int, deg float64, seed int64) *graph.Graph {
 // selectRule is SelectPar run serially on a fresh snapshot.
 func selectRule(t testing.TB, g *graph.Graph, c *cluster.Clustering, rule Rule) *Selection {
 	t.Helper()
-	sel, err := SelectPar(context.Background(), g, nil, c, rule, nil, nil)
+	sel, err := SelectPar(context.Background(), g, graph.Flatten(g), c, rule, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,3 +136,66 @@ func TestSelectMatchesScalarOracle(t *testing.T) {
 		}
 	}
 }
+
+// ruleWuLou labels WuLou's selections; the 2.5-hop rule is a test
+// reference, not one of the production rules.
+const ruleWuLou = RuleANCR + 1
+
+// WuLou is Wu and Lou's "2.5 hops coverage" rule [17], the k = 1
+// ancestor that A-NCR extends and generalizes (§3.1), kept as the
+// reference the sandwich tests pin A-NCR against: each clusterhead
+// covers (a) every clusterhead within 2 hops, and (b) every clusterhead
+// at exactly 3 hops that has a member within the head's 2-hop
+// neighborhood.
+//
+// The paper observes that the directed cluster graph this rule induces
+// is still a supergraph of the adjacent cluster graph G”, so on 1-hop
+// clusterings ANCR ⊆ WuLou ⊆ NC. The rule is defined for k = 1 only;
+// calling it on a clustering with K > 1 panics, mirroring the paper's
+// statement that the 2.5-hop notion does not apply beyond 1-hop
+// clustering.
+//
+// Unlike the paper's original directional formulation, the returned
+// Selection is symmetrized (u selects v if either direction covers),
+// because gateway selection operates on undirected virtual links; the
+// original's unidirectional surplus links are exactly what A-NCR
+// removes.
+func WuLou(g *graph.Graph, c *cluster.Clustering) *Selection {
+	if c.K != 1 {
+		panic("ncr: the 2.5-hop coverage rule is defined for k = 1 only")
+	}
+	sel := &Selection{Rule: ruleWuLou, K: 1, Neighbors: make(map[int][]int, len(c.Heads))}
+	covered := make(map[[2]int]bool)
+	for _, h := range c.Heads {
+		dist := g.BFS(h)
+		for v, d := range dist {
+			if v == h || d == graph.Unreachable || d > 3 || !c.IsHead(v) {
+				continue
+			}
+			pair := [2]int{min(h, v), max(h, v)}
+			if d <= 2 {
+				covered[pair] = true
+				continue
+			}
+			// At 3 hops, covered only if cluster v has a member within 2
+			// hops of h.
+			for w, dw := range dist {
+				if dw != graph.Unreachable && dw <= 2 && c.Head[w] == v {
+					covered[pair] = true
+					break
+				}
+			}
+		}
+	}
+	for _, h := range c.Heads {
+		sel.Neighbors[h] = nil
+	}
+	for pair := range covered {
+		sel.Neighbors[pair[0]] = append(sel.Neighbors[pair[0]], pair[1])
+		sel.Neighbors[pair[1]] = append(sel.Neighbors[pair[1]], pair[0])
+	}
+	for h := range sel.Neighbors {
+		sort.Ints(sel.Neighbors[h])
+	}
+	return sel
+}

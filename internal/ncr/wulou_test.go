@@ -7,9 +7,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Note: gateway depends on ncr, so connectivity of WuLou selections is
-// exercised indirectly here via the head-pair graph, and end-to-end in
-// package gateway's tests.
+// WuLou, the 2.5-hop reference, lives in oracle_test.go. Connectivity
+// of its selections is exercised here via the head-pair graph, and
+// through gateway selection in wulou_gateway_test.go.
 
 func TestWuLouPanicsBeyondK1(t *testing.T) {
 	g := testNet(t, 40, 6, 1)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/graph"
 	"repro/internal/ncr"
 	"repro/internal/udg"
 )
@@ -51,7 +52,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 				if !reflect.DeepEqual(res.Clustering.Head, c.Head) {
 					t.Fatalf("k=%d seed=%d %v: membership differs", k, seed, algo)
 				}
-				central, err := core.Connect(context.Background(), net.G, nil, c, algo, nil, nil)
+				central, err := core.Connect(context.Background(), net.G, graph.Flatten(net.G), c, algo, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

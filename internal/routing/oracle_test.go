@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/mobility"
 	"repro/internal/udg"
@@ -78,7 +79,11 @@ func TestRouteMatchesOracleChurned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := mobility.NewMaintainer(net.G, k, gateway.ACLMST)
+		out, err := core.BuildCtx(context.Background(), net.G, core.Options{K: k, Algorithm: gateway.ACLMST})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := mobility.NewMaintainerFrom(net.G, out)
 		for batch := 0; batch < 6; batch++ {
 			if _, err := m.ApplyBatch(context.Background(), churnBatch(m, rng)); err != nil {
 				t.Fatalf("k=%d batch %d: %v", k, batch, err)

@@ -56,8 +56,8 @@ func New(g *graph.Graph, c *cluster.Clustering, res *gateway.Result) *Router {
 }
 
 // Route returns the hierarchical route from src to dst (both inclusive),
-// or an error if the backbone cannot connect the two clusters (only
-// possible on disconnected inputs).
+// or an error if either node lies outside [0, N) or the backbone cannot
+// connect the two clusters (only possible on disconnected inputs).
 //
 // The intra-cluster legs src → head(src) and head(dst) → dst are
 // early-exit BFS walks in pooled scratch buffers, so a leg costs the
@@ -66,6 +66,9 @@ func New(g *graph.Graph, c *cluster.Clustering, res *gateway.Result) *Router {
 // neighbor one hop closer to the leg's source. The backbone leg is the
 // weighted shortest head path over the gateway links.
 func (r *Router) Route(src, dst int) ([]int, error) {
+	if n := r.g.N(); src < 0 || src >= n || dst < 0 || dst >= n {
+		return nil, fmt.Errorf("routing: route %d → %d: node out of range [0,%d)", src, dst, n)
+	}
 	if src == dst {
 		return []int{src}, nil
 	}
@@ -123,7 +126,8 @@ func splice(a, b []int) []int {
 
 // Stretch returns the ratio of the hierarchical route length to the flat
 // shortest-path length between src and dst (1.0 = optimal). For adjacent
-// or identical nodes the stretch is 1.
+// or identical nodes the stretch is 1. Route's errors, an out-of-range
+// node among them, pass through.
 func (r *Router) Stretch(src, dst int) (float64, error) {
 	route, err := r.Route(src, dst)
 	if err != nil {

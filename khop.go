@@ -7,9 +7,9 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/graph"
-	"repro/internal/ncr"
 	"repro/internal/udg"
 )
 
@@ -163,14 +163,17 @@ type PhaseCost struct {
 // checks and churn awareness).
 func (r *Result) Verify(g *Graph) error { return VerifyResult(g, r) }
 
-func assemble(c *cluster.Clustering, sel *ncr.Selection, res *gateway.Result, k int, algo Algorithm) *Result {
+// assemble is the public view of a pipeline output: K comes from the
+// clustering and the algorithm from the gateway result.
+func assemble(out *core.Output) *Result {
+	c, res := out.Clustering, out.Gateway
 	return &Result{
-		K:                k,
-		Algorithm:        algo,
+		K:                c.K,
+		Algorithm:        res.Algorithm,
 		Heads:            c.Heads,
 		HeadOf:           c.Head,
 		DistToHead:       c.DistToHead,
-		NeighborHeads:    sel.Neighbors,
+		NeighborHeads:    out.Selection.Neighbors,
 		Gateways:         res.Gateways,
 		CDS:              res.CDS,
 		GatewayPaths:     res.Paths,

@@ -26,9 +26,9 @@ func RenderSVG(w io.Writer, net *Network, res *Result, title string, style Rende
 	if res == nil {
 		return viz.Render(w, net.net, nil, nil, title, s)
 	}
-	c, gres, err := res.internals()
+	out, err := res.internals()
 	if err != nil {
 		return err
 	}
-	return viz.Render(w, net.net, c, gres, title, s)
+	return viz.Render(w, net.net, out.Clustering, out.Gateway, title, s)
 }
